@@ -20,7 +20,6 @@ otherwise, so the hot paths of the trace simulator can stay vectorised.
 from __future__ import annotations
 
 import abc
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,6 +38,11 @@ ArrayLike = float | int | FloatArray | list[float] | tuple[float, ...]
 #: return type of the array-facing methods: scalar in, float out;
 #: array in, array out
 ScalarOrArray = float | FloatArray
+
+#: panel edges of the generic survival quadratures: one Gauss-Legendre
+#: panel per doubling from 2^-20 s (about a microsecond) to 2^50 s, so a
+#: survival curve is resolved whatever its time scale
+_DOUBLINGS = 2.0 ** np.arange(-20.0, 51.0)
 
 __all__ = ["AvailabilityDistribution", "ArrayLike", "FloatArray", "ScalarOrArray"]
 
@@ -147,22 +151,46 @@ class AvailabilityDistribution(abc.ABC):
     def partial_expectation(self, x: ArrayLike) -> ScalarOrArray:
         """Truncated first moment ``PE(x) = int_0^x t f(t) dt``.
 
-        The generic implementation uses composite Gauss-Legendre
-        quadrature; the three families of the paper override it with
-        closed forms.
+        The generic implementation integrates by parts,
+        ``PE(x) = int_0^x S(t) dt - x S(x)``, so it touches only the
+        survival function: no density, hence no ``0 * inf`` where the
+        survival has vanished.  Every finite positive abscissa of one
+        call shares a single running Gauss-Legendre pass over the sorted
+        distinct abscissae merged with the doubling knots, so no panel
+        spans more than a factor of two.  The paper families override
+        this with closed forms.
         """
         arr, scalar = _prepare(x)
-        flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        for i, xi in enumerate(flat):
-            if xi <= 0.0 or not math.isfinite(xi):
-                out[i] = 0.0 if xi <= 0.0 else self.mean()
-            else:
-                out[i] = gauss_legendre(
-                    lambda t: t * np.asarray(self._pdf(t)), 0.0, float(xi), order=64, panels=8
-                )
-        out = out.reshape(np.shape(arr)) if not scalar else out[0]
-        return _finish(np.asarray(out), scalar)
+        out = np.where(np.isnan(arr), np.nan, 0.0)
+        live = (arr > 0.0) & np.isfinite(arr)
+        if np.any(live):
+            xs, where = np.unique(arr[live], return_inverse=True)
+            knots = np.union1d(xs, _DOUBLINGS[_DOUBLINGS < xs[-1]])
+            running = gauss_legendre(self._sf_array, 0.0, knots, order=32, panels=1)
+            integral = running[np.searchsorted(knots, xs)]
+            pe = np.maximum(integral - xs * self._sf_array(xs), 0.0)
+            out[live] = pe[where.ravel()]
+        infinite = arr == np.inf
+        if np.any(infinite):
+            out[infinite] = self.mean()
+        return _finish(out, scalar)
+
+    def _sf_array(self, x: FloatArray) -> FloatArray:
+        return np.asarray(self.sf(x), dtype=np.float64)
+
+    def _survival_moment(self, power: int) -> float:
+        """``int_0^inf t^power S(t) dt`` (``E[X]`` for 0, ``E[X^2] / 2`` for 1).
+
+        The same doubling panels as :meth:`partial_expectation`, out to
+        the first knot where ``S < 1e-12``: the rule adapts to the
+        distribution's time scale without a quantile search.
+        """
+        (vanished,) = np.nonzero(self._sf_array(_DOUBLINGS) < 1e-12)
+        knots = _DOUBLINGS[: vanished[0] + 1] if vanished.size else _DOUBLINGS
+        running = gauss_legendre(
+            lambda t: t**power * self._sf_array(t), 0.0, knots, order=32, panels=1
+        )
+        return float(running[-1])
 
     # -- scalar fast paths (hot loop of the interval optimizer) ---------
     def cdf_one(self, x: float) -> float:

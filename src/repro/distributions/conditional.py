@@ -19,14 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
-from repro.numerics.quadrature import gauss_legendre
 
 __all__ = ["ConditionalDistribution"]
 
 #: below this survival mass at ``age`` the difference forms
 #: ``F(age + x) - F(age)`` / ``PE(age + x) - PE(age)`` have fewer
 #: significant digits than the quantities they are meant to resolve, so
-#: the wrapper switches to survival-ratio (integral) formulas instead
+#: the wrapper switches to survival-ratio (by-parts integral) formulas
 _DEEP_TAIL_SURV = 1e-9
 
 
@@ -76,28 +75,15 @@ class ConditionalDistribution(AvailabilityDistribution):
         if self._surv_age < _DEEP_TAIL_SURV:
             # the difference form below degenerates to noise/S(age) in the
             # deep tail; integrate the stable conditional survival instead
-            upper = 1.0
-            while float(self.sf(upper)) > 1e-12 and upper < 1e15:
-                upper *= 2.0
-            return float(
-                gauss_legendre(lambda t: np.asarray(self.sf(t)), 0.0, upper, order=64, panels=16)
-            )
+            return self._survival_moment(0)
         return max(
             (self.base.mean() - self._pe_age) / self._surv_age - self.age, 0.0
         )
 
     def variance(self) -> float:
-        # E[(X - age)^2 | X > age] by quadrature on the conditional sf:
-        # Var = 2 int_0^inf x S_c(x) dx - mean^2.  We integrate to a far
-        # quantile to bound the truncation error.
-        upper = float(self.quantile(1.0 - 1e-10))
-        if not np.isfinite(upper) or upper <= 0.0:
-            upper = max(self.mean() * 50.0, 1.0)
-        second = 2.0 * gauss_legendre(
-            lambda x: x * np.asarray(self.sf(x)), 0.0, upper, order=64, panels=16
-        )
+        # Var = 2 int_0^inf x S_c(x) dx - mean^2 on the conditional survival
         m = self.mean()
-        return max(second - m * m, 0.0)
+        return max(2.0 * self._survival_moment(1) - m * m, 0.0)
 
     @property
     def n_params(self) -> int:
@@ -119,10 +105,10 @@ class ConditionalDistribution(AvailabilityDistribution):
         return min(max(out, 0.0), 1.0)
 
     def partial_expectation_one(self, x: float) -> float:
+        if self._surv_age < _DEEP_TAIL_SURV:
+            return float(self.partial_expectation(x))
         if x <= 0.0:
             return 0.0
-        if self._surv_age < _DEEP_TAIL_SURV:
-            return self._partial_expectation_tail(x)
         pe_shift = self.base.partial_expectation_one(self.age + x)
         cdf_shift = self.base.cdf_one(self.age + x)
         out = (
@@ -130,34 +116,21 @@ class ConditionalDistribution(AvailabilityDistribution):
         ) / self._surv_age
         return max(out, 0.0)
 
-    def _partial_expectation_tail(self, x: float) -> float:
-        """``int_0^x t f_age(t) dt`` via the stable survival ratio.
-
-        The difference form ``PE(age + x) - PE(age)`` loses all its
-        significant digits once ``S(age)`` drops below machine epsilon
-        relative to the mean (both partial expectations saturate at
-        ``E[X]``).  Integration by parts gives the equivalent
-        ``int_0^x S_age(t) dt - x * S_age(x)``, which only touches the
-        well-conditioned conditional survival function.
-        """
-        integral = gauss_legendre(
-            lambda t: np.asarray(self.sf(t)), 0.0, x, order=64, panels=16
-        )
-        return max(integral - x * float(self.sf(x)), 0.0)
-
     # -- closed-form reductions -----------------------------------------
     def partial_expectation(self, x: ArrayLike) -> ScalarOrArray:
         """``int_0^x t f_age(t) dt`` in terms of the base's ``PE``:
 
         ``[PE(age + x) - PE(age) - age * (F(age + x) - F(age))] / S(age)``.
+
+        That difference form loses all its significant digits once
+        ``S(age)`` drops below machine epsilon relative to the mean (both
+        partial expectations saturate at ``E[X]``); there the generic
+        by-parts form ``int_0^x S_age(t) dt - x S_age(x)`` takes over,
+        which only touches the well-conditioned conditional survival.
         """
-        arr = np.asarray(x, dtype=np.float64)
         if self._surv_age < _DEEP_TAIL_SURV:
-            flat = np.atleast_1d(arr).astype(np.float64).ravel()
-            out = np.asarray(
-                [self._partial_expectation_tail(float(v)) if v > 0.0 else 0.0 for v in flat]
-            ).reshape(arr.shape)
-            return float(out) if arr.ndim == 0 else out
+            return super().partial_expectation(x)
+        arr = np.asarray(x, dtype=np.float64)
         xp = np.maximum(arr, 0.0)
         pe_shift = np.asarray(self.base.partial_expectation(self.age + xp))
         cdf_shift = np.asarray(self.base.cdf(self.age + xp))

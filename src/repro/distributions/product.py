@@ -10,21 +10,20 @@ functions::
 
 which is everything the checkpoint optimizer needs: the density follows
 from the hazard sum, conditioning distributes over the members (each at
-its own elapsed uptime), and the partial expectation falls back to the
-generic quadrature -- this class is the library's demonstration that the
-Markov machinery genuinely works for *any* family, as Section 3.5
-claims.
+its own elapsed uptime), and the moments and the partial expectation
+come from the generic survival-only quadrature of the base class
+(``PE(x) = int_0^x S - x S(x)``) -- this class is the library's
+demonstration that the Markov machinery genuinely works for *any*
+family, as Section 3.5 claims.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
-from repro.numerics.quadrature import gauss_legendre
 
 __all__ = ["ProductAvailability"]
 
@@ -61,13 +60,16 @@ class ProductAvailability(AvailabilityDistribution):
         return 1.0 - np.asarray(self.sf(x))
 
     def _pdf(self, x: FloatArray) -> FloatArray:
-        # f = S * sum_i h_i; guard the vanished-survival region
+        # f = S * sum_i h_i, formed only where S > 0: once the survival has
+        # vanished a member hazard may be infinite and S * h would be 0 * inf
         surv = np.asarray(self.sf(x))
-        hazard = np.zeros(np.shape(x), dtype=np.float64)
+        alive = surv > 0.0
+        hazard = np.zeros(np.count_nonzero(alive), dtype=np.float64)
         for m in self.members:
-            hazard = hazard + np.asarray(m.hazard(x))
-        out = surv * hazard
-        return np.where(np.isfinite(out), out, 0.0)
+            hazard = hazard + np.asarray(m.hazard(x[alive]))
+        out = np.zeros(surv.shape, dtype=np.float64)
+        out[alive] = surv[alive] * hazard
+        return out
 
     def cdf_one(self, x: float) -> float:
         if x <= 0.0:
@@ -78,24 +80,13 @@ class ProductAvailability(AvailabilityDistribution):
         return 1.0 - surv
 
     def mean(self) -> float:
-        """``E[min] = int_0^inf S_gang(x) dx`` by adaptive panels."""
-        # integrate out to where the gang survival is negligible
-        upper = min(float(m.quantile(1.0 - 1e-9)) for m in self.members)
-        if not math.isfinite(upper) or upper <= 0.0:
-            upper = max(min(m.mean() for m in self.members) * 50.0, 1.0)
-        return gauss_legendre(
-            lambda t: np.asarray(self.sf(t)), 0.0, upper, order=80, panels=32
-        )
+        """``E[min] = int_0^inf S_gang(x) dx``."""
+        return self._survival_moment(0)
 
     def variance(self) -> float:
-        upper = min(float(m.quantile(1.0 - 1e-9)) for m in self.members)
-        if not math.isfinite(upper) or upper <= 0.0:
-            upper = max(min(m.mean() for m in self.members) * 50.0, 1.0)
-        second = 2.0 * gauss_legendre(
-            lambda t: t * np.asarray(self.sf(t)), 0.0, upper, order=80, panels=32
-        )
+        """``2 int_0^inf x S_gang(x) dx - E[min]^2``."""
         mu = self.mean()
-        return max(second - mu * mu, 0.0)
+        return max(2.0 * self._survival_moment(1) - mu * mu, 0.0)
 
     @property
     def n_params(self) -> int:

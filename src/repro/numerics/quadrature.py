@@ -10,16 +10,20 @@ so a generic quadrature fallback is required.  Two methods are provided:
   per-panel error estimate; robust on smooth densities with localized
   mass.
 * :func:`gauss_legendre` -- fixed-order composite Gauss-Legendre,
-  vectorised over NumPy arrays of integrand evaluations; this is the hot
-  path used when many partial expectations are evaluated at once.
+  vectorised over NumPy arrays of integrand evaluations; given a sorted
+  array of upper limits it returns every running integral from one
+  integrand call, which is how many partial expectations are evaluated
+  at once.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from collections.abc import Callable
+from functools import lru_cache
+from typing import overload
 
 import numpy as np
+from numpy.typing import NDArray
 
 __all__ = [
     "QuadratureError",
@@ -110,33 +114,83 @@ def gauss_legendre_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@overload
 def gauss_legendre(
     func: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     *,
+    order: int = ...,
+    panels: int = ...,
+) -> float: ...
+
+
+@overload
+def gauss_legendre(
+    func: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: NDArray[np.float64],
+    *,
+    order: int = ...,
+    panels: int = ...,
+) -> NDArray[np.float64]: ...
+
+
+def gauss_legendre(
+    func: Callable[[np.ndarray], np.ndarray],
+    a: float,
+    b: float | NDArray[np.float64],
+    *,
     order: int = 40,
     panels: int = 4,
-) -> float:
+) -> float | NDArray[np.float64]:
     """Composite Gauss-Legendre quadrature of a vectorised integrand.
 
-    ``func`` must accept and return NumPy arrays.  The interval is split
-    into ``panels`` equal panels, each integrated with an ``order``-point
-    rule; all integrand evaluations happen in a single vectorised call.
+    ``func`` must accept and return NumPy arrays.  For a scalar ``b`` the
+    interval is split into ``panels`` equal panels, each integrated with
+    an ``order``-point rule; all integrand evaluations happen in a single
+    vectorised call.
+
+    ``b`` may instead be a sorted 1-D array of upper limits, all at or
+    above ``a``: the result is then the array of running integrals
+    ``int_a^{b_k} func``, still from a single integrand call.
+    ``[a, b_0]`` is split into ``panels`` equal panels and each later gap
+    ``[b_{k-1}, b_k]`` is one more panel, so callers keep the gaps narrow
+    enough for one ``order``-point rule to resolve the integrand there.
     """
-    # reprolint: ignore[RL002] - identical endpoints give an exactly-empty interval; close-but-unequal ones integrate normally
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
+    if np.ndim(b) == 0:
+        lo, hi = a, float(b)
+        # reprolint: ignore[RL002] - identical endpoints give an exactly-empty interval; close-but-unequal ones integrate normally
+        if lo == hi:
+            return 0.0
+        sign = 1.0
+        if lo > hi:
+            lo, hi = hi, lo
+            sign = -1.0
+        return sign * float(np.sum(_panel_integrals(func, np.linspace(lo, hi, panels + 1), order)))
+    limits = np.asarray(b, dtype=np.float64)
+    if limits.ndim != 1:
+        raise ValueError(f"upper limits must be scalar or 1-D, got shape {limits.shape}")
+    if limits.size == 0:
+        return np.zeros(0)
+    if limits[0] < a or np.any(np.diff(limits) < 0.0):
+        raise ValueError("upper limits must be sorted and no smaller than the lower limit")
+    edges = np.concatenate([np.linspace(a, limits[0], panels + 1), limits[1:]])
+    running = np.cumsum(_panel_integrals(func, edges, order))
+    out: NDArray[np.float64] = running[panels - 1 :]
+    return out
+
+
+def _panel_integrals(
+    func: Callable[[np.ndarray], np.ndarray], edges: NDArray[np.float64], order: int
+) -> NDArray[np.float64]:
+    """The ``order``-point rule on every panel ``[edges[i], edges[i+1]]``."""
     nodes, weights = gauss_legendre_nodes(order)
-    edges = np.linspace(a, b, panels + 1)
     lows = edges[:-1]
     half_widths = 0.5 * (edges[1:] - lows)
     mids = lows + half_widths
     # shape (panels, order): all abscissae at once
     xs = mids[:, None] + half_widths[:, None] * nodes[None, :]
     values = func(xs.ravel()).reshape(xs.shape)
-    return sign * float(np.sum(half_widths * (values @ weights)))
+    out: NDArray[np.float64] = half_widths * (values @ weights)
+    return out

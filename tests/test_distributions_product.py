@@ -1,5 +1,7 @@
 """Tests for the gang (min-of-machines) availability distribution."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,18 @@ class TestSurvivalAlgebra:
         # the DFR Weibull member's hazard is singular at 0, costing the
         # equal-panel quadrature a few digits
         assert mass == pytest.approx(gang.cdf_one(x), rel=1e-3)
+
+    def test_pdf_zero_where_every_member_survival_vanished(self):
+        # each member's sf underflows to 0 at 1e5 s, so its hazard is inf:
+        # the density must not form S * sum(h) = 0 * inf there
+        gang = ProductAvailability([Weibull(1.5, 100.0).conditional(50.0), Exponential(1e-2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(float(m.sf(1e5)) == 0.0 for m in gang.members)
+            assert gang.pdf(1e5) == 0.0
+            dens = np.asarray(gang.pdf(np.array([10.0, 1e5, 1e6])))
+        assert dens[0] > 0.0
+        assert dens[1:].tolist() == [0.0, 0.0]
 
     def test_min_stochastically_smaller_than_members(self, gang):
         for m in gang.members:

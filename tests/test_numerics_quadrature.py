@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numerics import QuadratureError, adaptive_simpson, gauss_legendre, gauss_legendre_nodes
 
@@ -95,3 +97,77 @@ class TestGaussLegendre:
         gl = gauss_legendre(f_arr, 0.0, 10.0, order=40, panels=4)
         simp = adaptive_simpson(f_sca, 0.0, 10.0, tol=1e-12)
         assert gl == pytest.approx(simp, abs=1e-9)
+
+
+def _gauss_legendre_reference(func, a, b, order, panels):
+    """The scalar-limit composite rule as first written (the bitwise oracle)."""
+    if a == b:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b = b, a
+        sign = -1.0
+    nodes, weights = gauss_legendre_nodes(order)
+    edges = np.linspace(a, b, panels + 1)
+    lows = edges[:-1]
+    half_widths = 0.5 * (edges[1:] - lows)
+    mids = lows + half_widths
+    xs = mids[:, None] + half_widths[:, None] * nodes[None, :]
+    values = func(xs.ravel()).reshape(xs.shape)
+    return sign * float(np.sum(half_widths * (values @ weights)))
+
+
+def _smooth(t):
+    # a 40-point rule integrates this to round-off on any panel up to ~60 wide
+    return np.exp(-t / 20.0) + 1e-3 * t**2 + np.sin(t / 9.0)
+
+
+class TestGaussLegendreRunningIntegrals:
+    @given(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.lists(st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_limit_scalar_calls(self, a, offsets, panels):
+        limits = a + np.sort(np.asarray(offsets))
+        running = gauss_legendre(_smooth, a, limits, panels=panels)
+        assert running.shape == limits.shape
+        for b, value in zip(limits, running):
+            expected = gauss_legendre(_smooth, a, float(b), panels=panels)
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.floats(min_value=-1e4, max_value=1e4),
+        st.floats(min_value=-1e4, max_value=1e4),
+        st.integers(min_value=1, max_value=64),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_limit_bitwise_unchanged(self, a, b, order, panels):
+        func = lambda t: np.exp(-np.abs(t) / 3e3) * np.cos(t / 700.0)  # noqa: E731
+        got = gauss_legendre(func, a, b, order=order, panels=panels)
+        assert isinstance(got, float)
+        assert got == _gauss_legendre_reference(func, a, b, order, panels)
+
+    def test_single_integrand_call(self):
+        calls = []
+
+        def func(t):
+            calls.append(t.size)
+            return np.ones_like(t)
+
+        running = gauss_legendre(func, 0.0, np.array([1.0, 2.0, 2.0, 5.0]), order=8, panels=3)
+        assert running == pytest.approx([1.0, 2.0, 2.0, 5.0], rel=1e-14)
+        # three panels on [0, 1], then one per later gap (the empty one too)
+        assert calls == [8 * (3 + 3)]
+
+    def test_empty_limits(self):
+        assert gauss_legendre(np.exp, 0.0, np.zeros(0)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "limits", [np.array([2.0, 1.0]), np.array([-1.0, 1.0]), np.ones((2, 2))]
+    )
+    def test_rejects_unsorted_low_or_2d_limits(self, limits):
+        with pytest.raises(ValueError):
+            gauss_legendre(np.exp, 0.0, limits)

@@ -437,7 +437,8 @@ class TestSnapshotLifecycle:
         with use_solver_cache(SolverCache()):
             response = _ask(_server(), {"op": "snapshot", "path": path})
         assert response["ok"] is True
-        assert json.load(open(path))["schema"] == "repro.opt.solver_cache/1"
+        with open(path) as fh:
+            assert json.load(fh)["schema"] == "repro.opt.solver_cache/1"
 
     def test_snapshot_op_without_path_fails(self):
         with use_solver_cache(SolverCache()):
@@ -507,7 +508,8 @@ class TestTCP:
         assert responses["stats"]["stats"]["requests"] >= 3
         assert responses["shutdown"]["stopping"] is True
         # the shutdown path wrote a final snapshot
-        assert json.load(open(snapshot))["schema"] == "repro.opt.solver_cache/1"
+        with open(snapshot) as fh:
+            assert json.load(fh)["schema"] == "repro.opt.solver_cache/1"
 
     def test_pipelined_requests_batch_together(self):
         async def session():
