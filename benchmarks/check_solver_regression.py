@@ -6,9 +6,12 @@ Usage::
 
 Compares the freshly generated ``BENCH_solver.json`` (CURRENT) against
 the committed one (BASELINE).  The gate is the *eval-count* headline --
-``hybrid.passes_per_solve`` -- because it is deterministic across
-machines, unlike wall-clock seconds: CURRENT may exceed BASELINE by at
-most ``--max-regression`` (default 20%).  The correctness floor
+``hybrid.passes_per_solve`` of the cached regime -- because it is
+deterministic across machines, unlike wall-clock seconds: CURRENT may
+exceed BASELINE by at most ``--max-regression`` (default 20%).  When
+the baseline carries the cold (pool-sweep) section, its
+``cold.passes_per_solve`` gets the same bound and CURRENT must still
+show 0 cache hits there.  The correctness floor
 (``t_opt_max_rel_dev <= 1e-9``) is re-checked too, so a solver change
 that silently trades exactness for speed also fails.
 
@@ -63,6 +66,22 @@ def main(argv: list[str] | None = None) -> int:
     print(f"T_opt max relative deviation: {rel_dev:.3e}")
 
     ok = True
+    if "cold" in baseline:
+        base_cold = float(baseline["cold"]["passes_per_solve"])
+        cold = current.get("cold", {})
+        curr_cold = float(cold.get("passes_per_solve", float("inf")))
+        cold_limit = base_cold * (1.0 + args.max_regression)
+        print(f"cold passes per solve: baseline {base_cold:.4f}, current {curr_cold:.4f} (limit {cold_limit:.4f})")
+        if curr_cold > cold_limit:
+            print(
+                f"REGRESSION: cold passes per solve rose {curr_cold / base_cold - 1.0:+.1%} "
+                f"(> {args.max_regression:.0%} allowed)",
+                file=sys.stderr,
+            )
+            ok = False
+        if float(cold.get("cache_hits", 0.0)) != 0.0:
+            print("REGRESSION: the cold section is no longer cache-cold", file=sys.stderr)
+            ok = False
     if curr_passes > limit:
         print(
             f"REGRESSION: evals per solve rose {curr_passes / base_passes - 1.0:+.1%} "

@@ -43,9 +43,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray
+from repro.distributions.base import ArrayLike, AvailabilityDistribution, CdfPeKernel, FloatArray
+from repro.distributions.exponential import Exponential
 
-__all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel"]
+__all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel", "MarkovRows"]
 
 
 @dataclass(frozen=True)
@@ -181,43 +182,26 @@ class MarkovIntervalModel:
         return self.gamma(T) / T
 
     # ------------------------------------------------------------------
-    # batched evaluation (the vectorised-solver fast path)
+    # batched evaluation (one row of the solver's fast path)
     # ------------------------------------------------------------------
     def gamma_batch(self, T: ArrayLike) -> FloatArray:
         """Eq. 11 for a whole vector of candidate work intervals.
 
-        One call evaluates the Markov objective at every element of ``T``
-        through the distributions' array-form ``cdf`` /
-        ``partial_expectation``, which is what makes grid bracketing in
-        the hybrid solver cost roughly one scalar evaluation instead of
-        one per abscissa.  Agrees with :meth:`gamma` pointwise (the
-        scalar fast paths and the ndarray paths share formulas; they can
-        differ by a few ulps of round-off, never more).
+        The one-row case of :class:`MarkovRows`, the evaluator the hybrid
+        solver runs; it agrees with the scalar :meth:`gamma` pointwise
+        (the two share formulas, not code, and can differ by round-off).
         """
         Tarr = np.atleast_1d(np.asarray(T, dtype=np.float64))
         if np.any(Tarr <= 0.0):
             raise ValueError("work intervals must be positive")
-        C, R, L = self.costs.checkpoint, self.costs.recovery, self.costs.latency
-        horizon0 = C + Tarr
-        horizon2 = L + R + Tarr
-
-        # state-0 transitions: future-lifetime distribution at `age`
-        f0 = np.clip(np.asarray(self._cond.cdf(horizon0), dtype=np.float64), 0.0, 1.0)
-        pe0 = np.asarray(self._cond.partial_expectation(horizon0), dtype=np.float64)
-        safe0 = np.where(f0 > 0.0, f0, 1.0)
-        k02 = np.where(f0 > 0.0, np.minimum(pe0 / safe0, horizon0), 0.0)
-
-        # state-2 transitions: unconditional distribution (fresh resource)
-        f2 = np.clip(np.asarray(self.distribution.cdf(horizon2), dtype=np.float64), 0.0, 1.0)
-        pe2 = np.asarray(self.distribution.partial_expectation(horizon2), dtype=np.float64)
-        safe2 = np.where(f2 > 0.0, f2, 1.0)
-        k22 = np.where(f2 > 0.0, np.minimum(pe2 / safe2, horizon2), 0.0)
-
-        p21 = 1.0 - f2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            retry_cost = np.where(p21 > 0.0, k22 * f2 / np.where(p21 > 0.0, p21, 1.0) + horizon2, np.inf)
-            inner = (1.0 - f0) * horizon0 + f0 * (k02 + retry_cost)
-        out: FloatArray = np.where(f0 <= 0.0, horizon0, inner)
+        rows = MarkovRows(
+            self.distribution,
+            [self.age],
+            [self.costs.checkpoint],
+            [self.costs.recovery],
+            [self.costs.latency],
+        )
+        out: FloatArray = rows.gamma(Tarr[None, :])[0]
         return out
 
     def overhead_ratio_batch(self, T: ArrayLike) -> FloatArray:
@@ -234,3 +218,73 @@ class MarkovIntervalModel:
     def at_age(self, age: float) -> "MarkovIntervalModel":
         """A model for the same distribution/costs at a different uptime."""
         return MarkovIntervalModel(self.distribution, self.costs, age)
+
+
+class MarkovRows:
+    """Eq. 11 on ``(rows x abscissae)`` arrays: one (age, C, R, L) per row.
+
+    The hybrid solver's objective.  Row ``i`` of :meth:`gamma` evaluates
+    the three-state model of ``(distribution, costs[i], ages[i])`` at
+    every work interval in ``T[i]``.  The distribution is touched only
+    through two fused kernels built once
+    (:meth:`~repro.distributions.base.AvailabilityDistribution.cdf_pe_kernel`):
+    the future-lifetime ``(F, PE)`` at each row's age for the state-0
+    transitions, and the unconditional pair for the state-2 ones.  Every
+    operation is elementwise within a row, so a row's values do not depend
+    on the rows beside it.
+    """
+
+    __slots__ = ("_checkpoint", "_restart", "_state0", "_state2")
+
+    _checkpoint: FloatArray
+    _restart: FloatArray
+    _state0: CdfPeKernel
+    _state2: CdfPeKernel | None
+
+    def __init__(
+        self,
+        distribution: AvailabilityDistribution,
+        ages: ArrayLike,
+        checkpoint: ArrayLike,
+        recovery: ArrayLike,
+        latency: ArrayLike,
+    ) -> None:
+        a = np.asarray(ages, dtype=np.float64).ravel()
+        if np.any(a < 0.0):
+            raise ValueError("ages must be non-negative")
+        self._checkpoint = np.asarray(checkpoint, dtype=np.float64).reshape(-1, 1)
+        self._restart = (
+            np.asarray(latency, dtype=np.float64) + np.asarray(recovery, dtype=np.float64)
+        ).reshape(-1, 1)
+        self._state0 = distribution.cdf_pe_kernel(a)
+        # when the restart horizon L + R equals the checkpoint horizon C,
+        # a fresh resource (age 0) or a memoryless one sees the same pair
+        # in both states -- every gang solve, every exponential solve and
+        # the first interval of any schedule with C = R
+        fresh = isinstance(distribution, Exponential) or not bool(np.any(a))
+        same = fresh and bool(np.array_equal(self._checkpoint, self._restart))
+        self._state2 = None if same else distribution.cdf_pe_kernel(np.zeros(1))
+
+    def gamma(self, T: FloatArray) -> FloatArray:
+        """Expected time from state 0 to state 1 for each row's candidates."""
+        h0 = self._checkpoint + T
+        f0, pe0 = self._state0(h0)
+        if self._state2 is None:
+            h2, f2, pe2 = h0, f0, pe0
+        else:
+            h2 = self._restart + T
+            f2, pe2 = self._state2(h2)
+        # K02 * P02 = min(PE0, F0 * h0): the truncated mean never exceeds
+        # its horizon (round-off in PE could push it past).  P21 = 0 (a
+        # failure is certain before any retry completes) leaves an
+        # infinite or NaN retry cost: the interval can never commit.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            retry = np.minimum(pe2, f2 * h2) / (1.0 - f2) + h2
+            inner = (1.0 - f0) * h0 + np.minimum(pe0, f0 * h0) + f0 * retry
+        out: FloatArray = np.where(f0 <= 0.0, h0, inner)
+        return out
+
+    def overhead_ratio(self, T: FloatArray) -> FloatArray:
+        """``Gamma(T) / T`` for each row's candidates."""
+        out: FloatArray = self.gamma(T) / T
+        return out

@@ -13,32 +13,36 @@ Two solvers locate it:
 * ``method="golden"`` -- bracketing plus Golden Section Search, exactly
   the method the paper cites from Numerical Recipes; kept as the
   reference implementation and the benchmark baseline.
-* ``method="hybrid"`` (the default) -- the vectorised golden/Brent
-  hybrid of :func:`repro.numerics.optimize.minimize_positive_hybrid`:
-  one batched grid pass through
-  :meth:`~repro.core.markov.MarkovIntervalModel.overhead_ratio_batch`
-  brackets the minimum (or a warm-start triple seeded from a nearby
-  solve skips the grid), Brent refines, and a parabolic polish pins
-  ``T_opt`` to ~1e-10 relative so warm, cold and cached solves agree.
+* ``method="hybrid"`` (the default) -- the row solver: every solve of a
+  call to :func:`optimize_intervals_batch` is one row of
+  :func:`repro.numerics.optimize.minimize_rows` over the
+  :class:`~repro.core.markov.MarkovRows` objective (a log grid, two zoom
+  passes, a parabolic polish: six vectorised passes however many rows).
+  :func:`optimize_interval` is its one-row call.
 
-Solves are memoised in the process-global
-:class:`~repro.core.solver_cache.SolverCache` keyed on (distribution
-fingerprint, costs, age bucket); see ``docs/PERFORMANCE.md``.
+A row's result is bitwise independent of the rows sharing its batch, so
+a solve answered from a lock-step schedule fill, a serving burst, the
+cache or a lone call is the same float.  Solves are memoised in the
+process-global :class:`~repro.core.solver_cache.SolverCache` keyed on
+(distribution fingerprint, costs, age bucket); see
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Iterator
+from typing import cast
 
 import numpy as np
 
-from repro.core.markov import CheckpointCosts, MarkovIntervalModel
+from repro.core.markov import CheckpointCosts, MarkovIntervalModel, MarkovRows
 from repro.core.solver_cache import SolverCache, active_cache, use_solver_cache
 from repro.distributions.base import AvailabilityDistribution, FloatArray
-from repro.numerics.optimize import minimize_positive_hybrid, minimize_positive_scalar
+from repro.numerics.optimize import minimize_positive_scalar, minimize_rows
+from repro.obs.metrics import active as _metrics
 
 __all__ = [
     "OptimalInterval",
@@ -54,10 +58,15 @@ _METHODS = ("hybrid", "golden")
 
 _default_method = "hybrid"
 
-#: memo of the default ``t_max`` bound per (fingerprint, age) -- a pure
-#: function of its key, recomputed identically on any miss, so clearing
-#: the (bounded) memo never changes results
-_TMAX_MEMO: dict[tuple[tuple[object, ...], float], float] = {}
+#: objective value standing in for a non-finite ``Gamma(T)/T`` (keeps
+#: every solver comparison and parabola fit in finite arithmetic)
+_SENTINEL = 1e300
+
+#: memo of the default ``t_max`` bound and the mean residual life it
+#: derives from, per (fingerprint, age) -- a pure function of its key,
+#: recomputed identically on any miss, so clearing the (bounded) memo
+#: never changes results
+_TMAX_MEMO: dict[tuple[tuple[object, ...], float], tuple[float, float]] = {}
 _TMAX_MEMO_CAPACITY = 4096
 
 
@@ -111,18 +120,46 @@ class OptimalInterval:
     converged: bool
 
 
+def _young(mrl: float, costs: CheckpointCosts) -> float:
+    return math.sqrt(2.0 * max(costs.checkpoint, 1e-6) * mrl)
+
+
 def young_approximation(distribution: AvailabilityDistribution, costs: CheckpointCosts, age: float = 0.0) -> float:
     """Young's first-order estimate ``T ~ sqrt(2 * C * MTTF)``.
 
-    Used only to seed the bracketing search; the mean time to failure is
-    taken as the mean residual life at the current uptime, which adapts
-    the seed to heavy-tailed ageing.
+    Used only to seed the golden-section bracketing; the mean time to
+    failure is taken as the mean residual life at the current uptime,
+    which adapts the seed to heavy-tailed ageing.
     """
-    mttf = float(distribution.mean_residual_life(age))
-    if not math.isfinite(mttf) or mttf <= 0.0:
-        mttf = max(distribution.mean(), 1.0)
-    c = max(costs.checkpoint, 1e-6)
-    return math.sqrt(2.0 * c * mttf)
+    return _young(_resolve_bounds(distribution, distribution.fingerprint(), age)[1], costs)
+
+
+def _resolve_bounds(
+    distribution: AvailabilityDistribution,
+    fingerprint: tuple[object, ...],
+    age: float,
+) -> tuple[float, float]:
+    """``(default t_max, mean residual life)`` for one (distribution, age).
+
+    One ``mean_residual_life`` evaluation per (fingerprint, age): the
+    search bound is ``1e4`` times it (clamped to ``[1e6, 1e9]`` s), and
+    Young's seed for the golden-section paths reads it too.  Memoised so
+    a cache-hit query does not pay it again (for heavy-tailed families
+    that call costs more than the cache lookup it guards); the memoised
+    pair is the same floats the direct computation produces.
+    """
+    memo_key = (fingerprint, age)
+    cached = _TMAX_MEMO.get(memo_key)
+    if cached is not None:
+        return cached
+    mrl = float(distribution.mean_residual_life(age))
+    if not math.isfinite(mrl) or mrl <= 0.0:
+        mrl = max(distribution.mean(), 1.0)
+    bounds = (min(max(1e4 * mrl, 1e6), 1e9), mrl)
+    if len(_TMAX_MEMO) >= _TMAX_MEMO_CAPACITY:
+        _TMAX_MEMO.clear()
+    _TMAX_MEMO[memo_key] = bounds
+    return bounds
 
 
 def optimize_interval(
@@ -133,10 +170,12 @@ def optimize_interval(
     t_min: float = 1e-3,
     t_max: float | None = None,
     rel_tol: float = 1e-6,
-    warm_start: float | None = None,
     method: str | None = None,
 ) -> OptimalInterval:
     """Compute ``T_opt`` for a distribution, cost set and elapsed uptime.
+
+    The one-row call of :func:`optimize_intervals_batch`, so a direct
+    solve and the same row solved inside any batch are the same float.
 
     Parameters
     ----------
@@ -149,175 +188,58 @@ def optimize_interval(
         (ignored by the memoryless exponential).
     t_min, t_max:
         Search bounds for the work interval.  ``t_max`` defaults to
-        ``1e4`` times the mean residual life (capped at ``1e9`` s), wide
-        enough that the heavy-tailed optima of the paper's traces are
-        interior.
+        ``1e4`` times the mean residual life (clamped to ``[1e6, 1e9]``
+        s), wide enough that the heavy-tailed optima of the paper's
+        traces are interior.
     rel_tol:
-        Relative tolerance of the bracket refinement.
-    warm_start:
-        A nearby known solution (typically ``T_opt`` of the previous
-        schedule age); seeds a narrow bracket that skips the global
-        scan.  Correctness is unaffected: if the narrow bracket's
-        refinement would hit an edge, the solver falls back to the full
-        cold path.
+        Relative tolerance of the golden-section refinement
+        (``method="golden"``, and the hybrid's fallback for objectives
+        with no interior grid minimum); the hybrid row solver's fixed
+        passes resolve ``T_opt`` far below the default.
     method:
-        ``"hybrid"`` (vectorised golden/Brent, the default) or
+        ``"hybrid"`` (the vectorised row solver, the default) or
         ``"golden"`` (the paper's reference path); ``None`` uses the
         process default (see :func:`use_solver`).
     """
-    if method is None:
-        method = _default_method
-    elif method not in _METHODS:
-        raise ValueError(f"unknown solver method: {method!r}")
-    cache = active_cache()
-    fingerprint = distribution.fingerprint() if cache is not None else None
-    if t_max is None:
-        t_max = _resolve_t_max(distribution, fingerprint, age)
-
-    key = None
-    if cache is not None:
-        key = SolverCache.key(
-            fingerprint,
-            costs.checkpoint,
-            costs.recovery,
-            costs.latency,
-            age,
-            t_min,
-            t_max,
-            rel_tol,
-            method,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-
-    opt = _solve_interior(
+    return optimize_intervals_batch(
         distribution,
         costs,
-        age=age,
+        (age,),
         t_min=t_min,
         t_max=t_max,
         rel_tol=rel_tol,
         method=method,
-        warm_start=warm_start,
-    )
-    if cache is not None and key is not None:
-        cache.put(key, opt)
-    return opt
-
-
-def _resolve_t_max(
-    distribution: AvailabilityDistribution,
-    fingerprint: tuple[object, ...] | None,
-    age: float,
-) -> float:
-    """The default search upper bound for one (distribution, age).
-
-    A pure function of its inputs, memoised per (fingerprint, age) so a
-    cache-hit query does not pay a ``mean_residual_life`` evaluation
-    (the serving hot path -- for heavy-tailed families that call costs
-    more than the cache lookup it guards).  The memoised value is the
-    same float the direct computation produces, so solves stay
-    bit-identical; the memo is only consulted when a fingerprint is in
-    hand (i.e. a solver cache is active).
-    """
-    memo_key = (fingerprint, age) if fingerprint is not None else None
-    if memo_key is not None:
-        cached = _TMAX_MEMO.get(memo_key)
-        if cached is not None:
-            return cached
-    mrl = float(distribution.mean_residual_life(age))
-    if not math.isfinite(mrl) or mrl <= 0.0:
-        mrl = max(distribution.mean(), 1.0)
-    t_max = min(max(1e4 * mrl, 1e6), 1e9)
-    if memo_key is not None:
-        if len(_TMAX_MEMO) >= _TMAX_MEMO_CAPACITY:
-            _TMAX_MEMO.clear()
-        _TMAX_MEMO[memo_key] = t_max
-    return t_max
-
-
-def _solve_interior(
-    distribution: AvailabilityDistribution,
-    costs: CheckpointCosts,
-    *,
-    age: float,
-    t_min: float,
-    t_max: float,
-    rel_tol: float,
-    method: str,
-    warm_start: float | None = None,
-) -> OptimalInterval:
-    """The uncached solve: bracket + refine with resolved bounds."""
-    model = MarkovIntervalModel(distribution, costs, age)
-    guess = young_approximation(distribution, costs, age)
-    guess = min(max(guess, t_min * 2.0), t_max / 2.0)
-
-    def objective(T: float) -> float:
-        ratio = model.overhead_ratio(T)
-        return ratio if math.isfinite(ratio) else 1e300
-
-    if method == "golden":
-        result = minimize_positive_scalar(
-            objective, guess=guess, lo=t_min, hi=t_max, rel_tol=rel_tol
-        )
-    else:
-
-        def objective_batch(T: FloatArray) -> FloatArray:
-            ratios = model.overhead_ratio_batch(T)
-            out: FloatArray = np.where(np.isfinite(ratios), ratios, 1e300)
-            return out
-
-        result = minimize_positive_hybrid(
-            objective,
-            func_batch=objective_batch,
-            guess=guess,
-            warm_start=warm_start,
-            lo=t_min,
-            hi=t_max,
-            rel_tol=rel_tol,
-        )
-    x = min(max(result.x, t_min), t_max)
-    g = model.gamma(x)
-    return OptimalInterval(
-        T_opt=x,
-        gamma=g,
-        overhead_ratio=result.fx,
-        expected_efficiency=x / g if math.isfinite(g) and g > 0 else 0.0,
-        age=age,
-        converged=result.converged,
-    )
+    )[0]
 
 
 def optimize_intervals_batch(
     distribution: AvailabilityDistribution,
-    costs: CheckpointCosts,
-    ages: "Iterable[float]",
+    costs: CheckpointCosts | Sequence[CheckpointCosts],
+    ages: Iterable[float],
     *,
     t_min: float = 1e-3,
     t_max: float | None = None,
     rel_tol: float = 1e-6,
     method: str | None = None,
 ) -> list[OptimalInterval]:
-    """Solve one (distribution, costs) pair at many elapsed uptimes.
+    """Solve one distribution at many (costs, elapsed uptime) rows.
 
-    This is the dispatch primitive behind the ``repro serve``
-    micro-batcher: a burst of concurrent queries that share a fitted
-    model and cost set collapses to **one solve per distinct age** --
-    duplicate ages (the common case for a pool manager polling many
-    machines at the same bucketed uptime) are answered from the first
-    solve of the burst, and each distinct age takes a single vectorised
-    hybrid pass (one :meth:`~repro.core.markov.MarkovIntervalModel.\
-overhead_ratio_batch` grid evaluation plus Brent refinement) rather
-    than a golden-section evaluation chain.
+    ``costs`` is one :class:`CheckpointCosts` shared by every row or one
+    per age.  Each row is looked up in the active solver cache, duplicate
+    rows are solved once, and every miss is solved together: with the
+    default ``method="hybrid"`` as rows of one
+    :func:`~repro.numerics.optimize.minimize_rows` call, six vectorised
+    passes over a ``(rows x abscissae)`` array.  This is what the
+    lock-step schedule fill (one call per step across every schedule of a
+    fitted model) and the ``repro serve`` micro-batcher (one call per
+    burst of queries on a model) run.
 
-    Every returned interval is **bitwise identical** to what the scalar
-    :func:`optimize_interval` returns for the same arguments: distinct
-    ages build the same cache key and run the same warm-start-free cold
-    solve (:func:`_solve_interior`) -- only the shared distribution
-    fingerprint and bound resolution are hoisted out of the loop -- and
-    duplicates reuse the identical result object.  The equivalence
-    suite (``tests/test_serve_equivalence.py``) gates this.
+    A row's result is bitwise independent of the other rows in the
+    call: the row solver's passes are elementwise within a row, so the
+    same row solved alone (:func:`optimize_interval`), in any batch, or
+    served from the cache is the same float.  The equivalence suites
+    (``tests/test_serve_equivalence.py``,
+    ``tests/test_solver_equivalence.py``) gate this.
 
     Results are returned in input order.
     """
@@ -325,52 +247,124 @@ overhead_ratio_batch` grid evaluation plus Brent refinement) rather
         method = _default_method
     elif method not in _METHODS:
         raise ValueError(f"unknown solver method: {method!r}")
+    ages = [float(a) for a in ages]
+    if isinstance(costs, CheckpointCosts):
+        row_costs = [costs] * len(ages)
+    else:
+        row_costs = list(costs)
+        if len(row_costs) != len(ages):
+            raise ValueError(f"got {len(row_costs)} cost sets for {len(ages)} ages")
+    if any(a < 0.0 for a in ages):
+        raise ValueError("age must be non-negative")
     cache = active_cache()
-    # the whole batch shares one distribution: hoist the fingerprint (and
-    # the per-age cache key construction) out of optimize_interval so a
-    # burst of cache hits costs one dict probe per distinct age
-    fingerprint = distribution.fingerprint() if cache is not None else None
-    resolved: dict[float, OptimalInterval] = {}
-    out: list[OptimalInterval] = []
-    for age in ages:
-        a = float(age)
-        opt = resolved.get(a)
-        if opt is None:
-            bound = t_max if t_max is not None else _resolve_t_max(distribution, fingerprint, a)
+    fingerprint = distribution.fingerprint()
+    out: list[OptimalInterval | None] = [None] * len(ages)
+    misses: list[tuple[int, tuple[object, ...], CheckpointCosts, float, float]] = []
+    duplicates: list[tuple[int, int]] = []
+    first: dict[tuple[object, ...], int] = {}
+    for i, (c, a) in enumerate(zip(row_costs, ages, strict=True)):
+        bound = t_max if t_max is not None else _resolve_bounds(distribution, fingerprint, a)[0]
+        key = SolverCache.key(
+            fingerprint, c.checkpoint, c.recovery, c.latency, a, t_min, bound, rel_tol, method
+        )
+        j = first.get(key)
+        if j is not None:
+            duplicates.append((i, j))
+            continue
+        first[key] = i
+        hit = cache.get(key) if cache is not None else None
+        if hit is not None:
+            out[i] = hit
+        else:
+            misses.append((i, key, c, a, bound))
+    if misses:
+        rows = [(c, a, bound) for _, _, c, a, bound in misses]
+        if method == "golden":
+            solved = [
+                _solve_scalar(distribution, fingerprint, c, a, t_min, bound, rel_tol)
+                for c, a, bound in rows
+            ]
+        else:
+            solved = _solve_rows(distribution, fingerprint, rows, t_min, rel_tol)
+        for (i, key, *_), opt in zip(misses, solved, strict=True):
+            out[i] = opt
             if cache is not None:
-                key = SolverCache.key(
-                    fingerprint,
-                    costs.checkpoint,
-                    costs.recovery,
-                    costs.latency,
-                    a,
-                    t_min,
-                    bound,
-                    rel_tol,
-                    method,
-                )
-                opt = cache.get(key)
-                if opt is None:
-                    opt = _solve_interior(
-                        distribution,
-                        costs,
-                        age=a,
-                        t_min=t_min,
-                        t_max=bound,
-                        rel_tol=rel_tol,
-                        method=method,
-                    )
-                    cache.put(key, opt)
-            else:
-                opt = _solve_interior(
-                    distribution,
-                    costs,
-                    age=a,
-                    t_min=t_min,
-                    t_max=bound,
-                    rel_tol=rel_tol,
-                    method=method,
-                )
-            resolved[a] = opt
-        out.append(opt)
+                cache.put(key, opt)
+    for i, j in duplicates:
+        out[i] = out[j]
+    return cast("list[OptimalInterval]", out)
+
+
+def _interval(x: float, fx: float, age: float, converged: bool) -> OptimalInterval:
+    g = x * fx if fx < _SENTINEL else math.inf
+    return OptimalInterval(
+        T_opt=x,
+        gamma=g,
+        overhead_ratio=fx,
+        expected_efficiency=x / g if math.isfinite(g) and g > 0.0 else 0.0,
+        age=age,
+        converged=converged,
+    )
+
+
+def _solve_scalar(
+    distribution: AvailabilityDistribution,
+    fingerprint: tuple[object, ...],
+    costs: CheckpointCosts,
+    age: float,
+    t_min: float,
+    t_max: float,
+    rel_tol: float,
+) -> OptimalInterval:
+    """One golden-section solve on the scalar objective: the reference
+    method, and the hybrid's fallback for rows with no interior grid
+    minimum (the only readers of Young's seed)."""
+    model = MarkovIntervalModel(distribution, costs, age)
+    guess = _young(_resolve_bounds(distribution, fingerprint, age)[1], costs)
+    guess = min(max(guess, t_min * 2.0), t_max / 2.0)
+
+    def objective(T: float) -> float:
+        ratio = model.overhead_ratio(T)
+        return ratio if math.isfinite(ratio) else _SENTINEL
+
+    result = minimize_positive_scalar(objective, guess=guess, lo=t_min, hi=t_max, rel_tol=rel_tol)
+    return _interval(min(max(result.x, t_min), t_max), result.fx, age, result.converged)
+
+
+def _solve_rows(
+    distribution: AvailabilityDistribution,
+    fingerprint: tuple[object, ...],
+    rows: list[tuple[CheckpointCosts, float, float]],
+    t_min: float,
+    rel_tol: float,
+) -> list[OptimalInterval]:
+    """Solve ``(costs, age, t_max)`` rows of one distribution together."""
+    ages = np.array([a for _, a, _ in rows])
+    model = MarkovRows(
+        distribution,
+        ages,
+        [c.checkpoint for c, _, _ in rows],
+        [c.recovery for c, _, _ in rows],
+        [c.latency for c, _, _ in rows],
+    )
+
+    def objective(T: FloatArray) -> FloatArray:
+        ratio = model.overhead_ratio(T)
+        out: FloatArray = np.where(np.isfinite(ratio), ratio, _SENTINEL)
+        return out
+
+    res = minimize_rows(
+        objective, np.full(len(rows), t_min), np.array([b for _, _, b in rows])
+    )
+    out: list[OptimalInterval] = []
+    reg = _metrics()
+    for i, (c, a, bound) in enumerate(rows):
+        if res.bracketed[i]:
+            out.append(_interval(float(res.x[i]), float(res.fx[i]), a, True))
+            continue
+        # no interior grid minimum (monotone objective, edge plateau):
+        # the robust scalar path settles it
+        if reg is not None:
+            reg.inc("numerics.hybrid.cold_fallbacks")
+        out.append(_solve_scalar(distribution, fingerprint, c, a, t_min, bound, rel_tol))
     return out

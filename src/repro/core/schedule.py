@@ -11,25 +11,33 @@ after which a fresh schedule is computed.
 
 :class:`CheckpointSchedule` materialises the sequence lazily and caches
 it, since the trace simulator asks for the same prefixes over and over.
+:func:`fill_schedules` advances many schedules of one fitted model in
+lock-step -- one batched solve per step across all of them -- each only
+as far as its replay budget needs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.core.markov import CheckpointCosts
-from repro.core.optimizer import OptimalInterval, optimize_interval
+from repro.core.optimizer import OptimalInterval, optimize_intervals_batch
 from repro.distributions.base import AvailabilityDistribution
 from repro.distributions.exponential import Exponential
 from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 
-__all__ = ["CheckpointSchedule"]
+__all__ = ["MAX_FILL_LENGTH", "CheckpointSchedule", "fill_schedules"]
+
+#: ceiling on the intervals a fill materialises per schedule: reaching it
+#: means a budget dwarfs the cycle length by ~7 orders of magnitude, and
+#: the caller reports the budget as uncoverable
+MAX_FILL_LENGTH = 1 << 22
 
 
 class CheckpointSchedule:
@@ -167,82 +175,151 @@ class CheckpointSchedule:
             converge_rel_tol=self._converge_rel_tol,
         )
 
+    def cover(self, budget: float, overhead: float) -> int:
+        """Materialise the shortest prefix whose cycles cover ``budget``.
+
+        Returns ``K``, the least number of intervals with
+        ``sum_{j<K}(T_j + overhead) > budget`` (the sum accumulated in
+        index order, exactly as the batch replay's cycle table
+        ``np.cumsum`` forms it).  Only the intervals up to ``K`` are
+        solved; see :func:`fill_schedules` for many schedules at once.
+        """
+        return fill_schedules([self], [budget], [overhead])[0]
+
     # ------------------------------------------------------------------
+    def _next_age(self) -> float:
+        """Resource uptime at the start of the next unsolved interval."""
+        if not self._intervals:
+            age = self.t_elapsed
+            if self.include_recovery_age:
+                age += self.costs.recovery
+            return age
+        # the machine is up throughout the strictly sequential work /
+        # transfer / commit-latency phases, so interval i+1 starts
+        # T + C + L after interval i did
+        return self._ages[-1] + self._intervals[-1].T_opt + self.costs.checkpoint + self.costs.latency
+
+    def _reuse(self) -> OptimalInterval | None:
+        """Append the next interval without a solve when the tail is known
+        (memoryless model, or converged schedule); returns it, else None."""
+        if self._memoryless and self._intervals:
+            kind, opt = "memoryless", self._intervals[0]
+        elif self._converged_at is not None:
+            kind, opt = "converged", self._intervals[-1]
+        else:
+            return None
+        age = self._next_age()
+        self._intervals.append(opt)
+        self._ages.append(age)
+        reg = _metrics()
+        if reg is not None:
+            reg.inc(f"schedule.reuses.{kind}")
+        trace = _trace_active()
+        if trace is not None:
+            trace.point("opt", "cache_hit", ts=age, args={"kind": kind})
+        return opt
+
+    def _append_solved(self, opt: OptimalInterval, age: float) -> None:
+        idx = len(self._intervals)
+        self._intervals.append(opt)
+        self._ages.append(age)
+        if (
+            self._converge_rel_tol is not None
+            and idx >= 1
+            and abs(opt.T_opt - self._intervals[idx - 1].T_opt)
+            <= self._converge_rel_tol * self._intervals[idx - 1].T_opt
+        ):
+            self._converged_at = idx
+
     def _extend_to(self, i: int) -> None:
         if i < 0:
             raise IndexError(f"interval index must be >= 0, got {i}")
         while len(self._intervals) <= i:
-            idx = len(self._intervals)
-            if idx == 0:
-                age = self.t_elapsed
-                if self.include_recovery_age:
-                    age += self.costs.recovery
-            else:
-                # the machine is up throughout the strictly sequential
-                # work / transfer / commit-latency phases, so interval
-                # i+1 starts T + C + L after interval i did
-                prev_age = self._ages[-1]
-                prev_t = self._intervals[-1].T_opt
-                age = prev_age + prev_t + self.costs.checkpoint + self.costs.latency
-            reg = _metrics()
-            trace = _trace_active()
-            if self._memoryless and self._intervals:
-                # memorylessness: T_opt is age-invariant; reuse interval 0
-                first = self._intervals[0]
-                self._intervals.append(first)
-                self._ages.append(age)
-                if reg is not None:
-                    reg.inc("schedule.reuses.memoryless")
-                if trace is not None:
-                    trace.point("opt", "cache_hit", ts=age, args={"kind": "memoryless"})
-                continue
-            if self._converged_at is not None:
-                self._intervals.append(self._intervals[-1])
-                self._ages.append(age)
-                if reg is not None:
-                    reg.inc("schedule.reuses.converged")
-                if trace is not None:
-                    trace.point("opt", "cache_hit", ts=age, args={"kind": "converged"})
-                continue
-            if not math.isfinite(age):  # pragma: no cover - defensive
-                raise OverflowError("schedule age overflowed")
-            if reg is not None:
-                reg.inc("schedule.solves")
-            # cross-age warm start: T_opt varies slowly along the age
-            # chain (that is what converge_rel_tol exploits), so seed
-            # the bracket for age k+1 from T_opt(k).  The solver falls
-            # back to the full cold bracket if the seed misleads, so
-            # this is purely a performance hint.
-            warm = self._intervals[-1].T_opt if self._intervals else None
-            if warm is not None and reg is not None:
-                reg.observe("schedule.warm_depth", idx)
-            wall0 = time.perf_counter()
-            opt = optimize_interval(
-                self.distribution,
-                self.costs,
-                age=age,
-                t_min=self._t_min,
-                t_max=self._t_max,
-                warm_start=warm,
-            )
+            if self._reuse() is None:
+                _solve_next([self])
+
+
+def _solve_next(schedules: Sequence[CheckpointSchedule]) -> None:
+    """Solve the next interval of every schedule (one distribution) with
+    one batched solve per distinct search domain."""
+    distribution = schedules[0].distribution
+    groups: dict[tuple[float, float | None], list[CheckpointSchedule]] = {}
+    for sched in schedules:
+        groups.setdefault((sched._t_min, sched._t_max), []).append(sched)
+    reg = _metrics()
+    trace = _trace_active()
+    for (t_min, t_max), group in groups.items():
+        ages = [sched._next_age() for sched in group]
+        if not all(math.isfinite(age) for age in ages):  # pragma: no cover - defensive
+            raise OverflowError("schedule age overflowed")
+        wall0 = time.perf_counter()
+        solved = optimize_intervals_batch(
+            distribution, [sched.costs for sched in group], ages, t_min=t_min, t_max=t_max
+        )
+        wall = time.perf_counter() - wall0
+        if reg is not None:
+            reg.inc("schedule.solves", len(group))
+        for sched, age, opt in zip(group, ages, solved, strict=True):
             if trace is not None:
                 # the solve is instantaneous in sim time (a zero-width
                 # span at the resource age it was computed for); its real
-                # cost is the wall_s argument
+                # cost is the wall_s argument (the whole batched call)
                 trace.span(
                     "opt", "solve", age, 0.0,
-                    args={
-                        "index": idx,
-                        "T_opt": opt.T_opt,
-                        "wall_s": time.perf_counter() - wall0,
-                    },
+                    args={"index": len(sched._intervals), "T_opt": opt.T_opt, "wall_s": wall},
                 )
-            self._intervals.append(opt)
-            self._ages.append(age)
-            if (
-                self._converge_rel_tol is not None
-                and idx >= 1
-                and abs(opt.T_opt - self._intervals[idx - 1].T_opt)
-                <= self._converge_rel_tol * self._intervals[idx - 1].T_opt
-            ):
-                self._converged_at = idx
+            sched._append_solved(opt, age)
+
+
+def fill_schedules(
+    schedules: Sequence[CheckpointSchedule],
+    budgets: Sequence[float],
+    overheads: Sequence[float],
+) -> list[int]:
+    """Advance schedules of one fitted model in lock-step until each covers
+    its budget; returns each one's covering length (see
+    :meth:`CheckpointSchedule.cover`).
+
+    Each step solves the next interval of every schedule still short of
+    its budget in one :func:`~repro.core.optimizer.optimize_intervals_batch`
+    call, so a step costs about one solve however many schedules share
+    it.  A schedule stops at the first interval whose cumulative
+    ``T + overhead`` exceeds its budget; memoryless and converged tails
+    are appended without solves.  The intervals are the ones the lazy
+    per-interval path would produce: every row of a batched solve is
+    bitwise the lone solve.  No schedule grows past
+    :data:`MAX_FILL_LENGTH` intervals.
+    """
+    if not (len(schedules) == len(budgets) == len(overheads)):
+        raise ValueError("need one budget and one overhead per schedule")
+    if not schedules:
+        return []
+    distribution = schedules[0].distribution
+    if any(sched.distribution is not distribution for sched in schedules):
+        raise ValueError("lock-step schedules must share one distribution object")
+    totals: list[float] = []
+    for sched, overhead in zip(schedules, overheads, strict=True):
+        total = 0.0
+        for opt in sched._intervals:
+            total += opt.T_opt + overhead
+        totals.append(total)
+    def short(j: int) -> bool:
+        return totals[j] <= budgets[j] and len(schedules[j]._intervals) < MAX_FILL_LENGTH
+
+    live = [j for j in range(len(schedules)) if short(j)]
+    while live:
+        solve: list[int] = []
+        for j in live:
+            sched = schedules[j]
+            while short(j):
+                opt = sched._reuse()
+                if opt is None:
+                    solve.append(j)
+                    break
+                totals[j] += opt.T_opt + overheads[j]
+        if solve:
+            _solve_next([schedules[j] for j in solve])
+            for j in solve:
+                totals[j] += schedules[j]._intervals[-1].T_opt + overheads[j]
+        live = [j for j in solve if short(j)]
+    return [len(sched._intervals) for sched in schedules]

@@ -20,6 +20,7 @@ otherwise, so the hot paths of the trace simulator can stay vectorised.
 from __future__ import annotations
 
 import abc
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,12 +40,17 @@ ArrayLike = float | int | FloatArray | list[float] | tuple[float, ...]
 #: array in, array out
 ScalarOrArray = float | FloatArray
 
+#: a fused future-lifetime evaluator (see
+#: :meth:`AvailabilityDistribution.cdf_pe_kernel`): maps a ``(rows, n)``
+#: array of non-negative abscissae to ``(F_age(x), PE_age(x))``
+CdfPeKernel = Callable[[FloatArray], tuple[FloatArray, FloatArray]]
+
 #: panel edges of the generic survival quadratures: one Gauss-Legendre
 #: panel per doubling from 2^-20 s (about a microsecond) to 2^50 s, so a
 #: survival curve is resolved whatever its time scale
 _DOUBLINGS = 2.0 ** np.arange(-20.0, 51.0)
 
-__all__ = ["AvailabilityDistribution", "ArrayLike", "FloatArray", "ScalarOrArray"]
+__all__ = ["AvailabilityDistribution", "ArrayLike", "CdfPeKernel", "FloatArray", "ScalarOrArray"]
 
 
 def _prepare(x: ArrayLike) -> tuple[FloatArray, bool]:
@@ -207,6 +213,35 @@ class AvailabilityDistribution(abc.ABC):
     def partial_expectation_one(self, x: float) -> float:
         """Scalar ``PE(x)`` without array overhead."""
         return float(self.partial_expectation(x))
+
+    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+        """A fused evaluator of the future-lifetime ``(F_age, PE_age)``.
+
+        ``ages`` holds one elapsed uptime per row (or a single age shared
+        by every row); the returned kernel maps a ``(rows, n)`` array of
+        non-negative abscissae to the conditional distribution function
+        and partial expectation of each row's age.  This is the Markov
+        row objective's only contact with the distribution
+        (:class:`~repro.core.markov.MarkovRows`).
+
+        The default conditions once per row and evaluates the array-form
+        :meth:`cdf` / :meth:`partial_expectation` row by row (a row is
+        never mixed with another in one call, so its values do not depend
+        on its neighbours).  The paper families override it with one
+        fused pass that shares the intermediate both quantities need.
+        """
+        conds = [self.conditional(float(a)) for a in np.ravel(ages)]
+
+        def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
+            F = np.empty_like(x)
+            PE = np.empty_like(x)
+            for i in range(x.shape[0]):
+                cond = conds[i] if len(conds) > 1 else conds[0]
+                F[i] = cond.cdf(x[i])
+                PE[i] = cond.partial_expectation(x[i])
+            return F, PE
+
+        return kernel
 
     def truncated_mean(self, x: ArrayLike) -> ScalarOrArray:
         """``E[X | X <= x] = PE(x) / F(x)`` (the ``K02``/``K22`` cost form)."""

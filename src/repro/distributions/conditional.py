@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
+from repro.distributions.base import (
+    ArrayLike,
+    AvailabilityDistribution,
+    CdfPeKernel,
+    FloatArray,
+    ScalarOrArray,
+)
 
 __all__ = ["ConditionalDistribution"]
 
@@ -150,6 +156,10 @@ class ConditionalDistribution(AvailabilityDistribution):
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> FloatArray:
         return np.asarray(self.quantile(rng.random(size)))
+
+    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+        """Conditioning composes: the base's kernel at the summed ages."""
+        return self.base.cdf_pe_kernel(self.age + np.ravel(np.asarray(ages, dtype=np.float64)))
 
     def conditional(self, age: float) -> AvailabilityDistribution:
         """Conditioning composes: ``(F_a)_b = F_{a+b}``."""

@@ -12,7 +12,13 @@ import math
 
 import numpy as np
 
-from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
+from repro.distributions.base import (
+    ArrayLike,
+    AvailabilityDistribution,
+    CdfPeKernel,
+    FloatArray,
+    ScalarOrArray,
+)
 
 __all__ = ["Exponential", "exp_partial_expectation_one"]
 
@@ -102,6 +108,28 @@ class Exponential(AvailabilityDistribution):
         arr = np.asarray(x, dtype=np.float64)
         out = _exp_partial_expectation(self.lam, arr)
         return float(out) if arr.ndim == 0 else out
+
+    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+        """Fused ``(F, PE)`` from one ``expm1(-lam x)``; by memorylessness
+        every row's kernel is the unconditional one.
+
+        ``PE = F / lam - x (1 - F)`` loses digits below the series cutoff
+        like the closed form does, so the same Taylor series takes over
+        there.
+        """
+        lam = self.lam
+
+        def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
+            u = x * lam
+            em1 = np.expm1(-u)
+            F = -em1
+            PE = F / lam - x * (1.0 + em1)
+            small = u < _SERIES_CUTOFF
+            if bool(small.any()):
+                PE = np.where(small, u * x * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
+            return F, PE
+
+        return kernel
 
     def quantile(self, q: ArrayLike) -> ScalarOrArray:
         arr = np.asarray(q, dtype=np.float64)

@@ -20,8 +20,15 @@ import math
 
 import numpy as np
 
-from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
+from repro.distributions.base import (
+    ArrayLike,
+    AvailabilityDistribution,
+    CdfPeKernel,
+    FloatArray,
+    ScalarOrArray,
+)
 from repro.distributions.exponential import (
+    _SERIES_CUTOFF,
     _exp_partial_expectation,
     exp_partial_expectation_one,
 )
@@ -137,6 +144,34 @@ class Hyperexponential(AvailabilityDistribution):
             w[np.argmin(self.rates)] = 1.0
             total = 1.0
         return Hyperexponential(w / total, self.rates)
+
+    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+        """Fused ``(F_age, PE_age)``: the phase exponentials ``e^{-lam x}``
+        evaluated once, mixed with each row's reweighted probabilities
+        (the same log-sum-exp reweighting as :meth:`conditional`).
+
+        ``F = 1 - sum_i p_i e^{-lam_i x}`` and the series-protected phase
+        partial expectations are the formulas of :meth:`cdf_one` and
+        :meth:`partial_expectation`.
+        """
+        a = np.asarray(ages, dtype=np.float64).reshape(-1, 1)
+        with np.errstate(divide="ignore"):
+            logw = np.log(self.probs) - self.rates * a
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        weights = (w / w.sum(axis=1, keepdims=True))[:, None, :]
+        rates, inv = self.rates, 1.0 / self.rates
+
+        def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
+            x3 = x[..., None]
+            u = x3 * rates
+            e = np.exp(-u)
+            PE = inv - (x3 + inv) * e
+            small = u < _SERIES_CUTOFF
+            if bool(small.any()):
+                PE = np.where(small, u * x3 * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
+            return 1.0 - (e * weights).sum(axis=2), (PE * weights).sum(axis=2)
+
+        return kernel
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> FloatArray:
         idx = rng.choice(self.k, size=size, p=self.probs)

@@ -6,7 +6,8 @@ Golden Section Search):
 
 * :mod:`repro.numerics.optimize` -- minimum bracketing (``mnbrak``-style)
   and Golden Section Search used to minimise the expected overhead ratio
-  ``Gamma(T)/T`` with respect to the work interval ``T``.
+  ``Gamma(T)/T`` with respect to the work interval ``T``, plus the
+  vectorised row minimiser that solves many such problems at once.
 * :mod:`repro.numerics.quadrature` -- adaptive Simpson and fixed-order
   Gauss-Legendre quadrature, used as the generic fallback for partial
   expectations of distribution families without a closed form.
@@ -19,11 +20,11 @@ from repro.numerics.optimize import (
     Bracket,
     BracketError,
     GoldenSectionResult,
+    RowMinima,
     bracket_minimum,
-    brent_minimize,
     golden_section_minimize,
-    minimize_positive_hybrid,
     minimize_positive_scalar,
+    minimize_rows,
 )
 from repro.numerics.quadrature import (
     QuadratureError,
@@ -44,14 +45,14 @@ __all__ = [
     "GoldenSectionResult",
     "QuadratureError",
     "RootFindError",
+    "RowMinima",
     "adaptive_simpson",
     "bisect",
     "bracket_minimum",
-    "brent_minimize",
     "gauss_legendre",
     "gauss_legendre_nodes",
     "golden_section_minimize",
-    "minimize_positive_hybrid",
     "minimize_positive_scalar",
+    "minimize_rows",
     "newton_safeguarded",
 ]

@@ -1,5 +1,5 @@
-"""Scalar minimisation: bracketing, Golden Section Search, and the
-vectorised golden/Brent hybrid.
+"""Scalar and row-batched minimisation: bracketing, Golden Section Search
+and the vectorised row minimiser.
 
 The paper minimises the expected overhead ratio ``Gamma(T)/T`` with the
 Golden Section Search "as implemented in Numerical Recipes".  This module
@@ -12,27 +12,20 @@ the schedule solver actually runs:
   ``f(b) <= f(a)`` and ``f(b) <= f(c)``.
 * :func:`golden_section_minimize` -- classic golden-section refinement of
   a bracketing triple down to a requested relative tolerance.
-* :func:`brent_minimize` -- Brent refinement of a bracketing triple:
-  successive parabolic interpolation with golden-section fallback steps,
-  superlinear near the smooth minima ``Gamma(T)/T`` has in practice
-  (roughly a third of the function evaluations golden section needs).
-* :func:`minimize_positive_scalar` -- the legacy entry point: bracketing
-  seeded from a caller-supplied initial guess, golden-section
+* :func:`minimize_positive_scalar` -- the reference entry point:
+  bracketing seeded from a caller-supplied initial guess, golden-section
   refinement, and a coarse grid scan fallback for awkward shapes.
-* :func:`minimize_positive_hybrid` -- the fast path: one *batched*
-  log-grid evaluation pass brackets the minimum (consuming a vectorised
-  objective such as ``MarkovIntervalModel.gamma_batch``), an optional
-  warm-start bracket skips the grid entirely when a nearby solution is
-  known, Brent refines, and a final parabolic polish pins the abscissa
-  to ~1e-10 relative so warm/cold/cached solves agree far inside the
-  1e-9 equivalence budget.
+* :func:`minimize_rows` -- the fast path: many independent objectives
+  minimised together on ``(rows x abscissae)`` arrays (a log grid, two
+  zoom passes inside the best grid cell, a parabolic polish), six
+  vectorised passes whatever the number of rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,14 +42,15 @@ __all__ = [
     "BracketError",
     "GoldenSectionResult",
     "BatchObjective",
+    "RowMinima",
     "bracket_minimum",
-    "brent_minimize",
     "golden_section_minimize",
     "minimize_positive_scalar",
-    "minimize_positive_hybrid",
+    "minimize_rows",
 ]
 
 #: a vectorised objective: one call evaluates a whole array of abscissae
+#: (for :func:`minimize_rows`, a ``(rows, n)`` array, row by row)
 BatchObjective = Callable[[FloatArray], FloatArray]
 
 #: golden ratio section constants
@@ -344,280 +338,163 @@ def _grid_then_golden(
     return GoldenSectionResult(x=xs[best], fx=fs[best], iterations=grid_points, converged=True)
 
 
+
+
 # ----------------------------------------------------------------------
-# the vectorised golden/Brent hybrid fast path
+# the vectorised row minimiser (the fast path of ``method="hybrid"``)
 # ----------------------------------------------------------------------
 
-_ZEPS = 1e-18
 
+@dataclass(frozen=True)
+class RowMinima:
+    """Per-row outcome of :func:`minimize_rows`.
 
-def brent_minimize(
-    func: Callable[[float], float],
-    bracket: Bracket,
-    *,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> GoldenSectionResult:
-    """Refine a bracketing triple with Brent's method.
-
-    Successive parabolic interpolation through the three best points,
-    falling back to a golden-section step whenever the parabola is
-    uncooperative (the Numerical Recipes ``brent`` safeguards).  For the
-    smooth, locally-quadratic minima of ``Gamma(T)/T`` this converges
-    superlinearly -- typically 7-12 evaluations against golden section's
-    ~30 at the same tolerance.
+    ``bracketed[i]`` is False when row ``i``'s grid found no interior
+    minimum (monotone objective, edge plateau); its ``x``/``fx`` are then
+    meaningless and the caller falls back to :func:`minimize_positive_scalar`.
     """
-    a, b = bracket.a, bracket.c
-    x = w = v = bracket.b
-    fx = fw = fv = bracket.fb
-    d = e = 0.0
-    iterations = 0
+
+    x: FloatArray
+    fx: FloatArray
+    bracketed: NDArray[np.bool_]
+
+
+def _evaluate(func: BatchObjective, X: FloatArray) -> FloatArray:
+    """One vectorised objective pass over a (rows x abscissae) array."""
     reg = _metrics()
     if reg is not None:
-        reg.inc("numerics.brent.calls")
-    for _ in range(max_iter):
-        xm = 0.5 * (a + b)
-        tol1 = rel_tol * abs(x) + max(abs_tol, _ZEPS)
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            if reg is not None:
-                reg.inc("numerics.brent.iterations", iterations)
-            return GoldenSectionResult(x=x, fx=fx, iterations=iterations, converged=True)
-        use_golden = True
-        if abs(e) > tol1:
-            # fit a parabola through (v, w, x)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            etemp = e
-            e = d
-            if not (abs(p) >= abs(0.5 * q * etemp) or p <= q * (a - x) or p >= q * (b - x)):
-                # parabolic step accepted
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, xm - x)
-                use_golden = False
-        if use_golden:
-            e = (a - x) if x >= xm else (b - x)
-            d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = func(u)
-        iterations += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:  # reprolint: ignore[RL002]
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:  # reprolint: ignore[RL002]
-                v, fv = u, fu
-    if reg is not None:
-        reg.inc("numerics.brent.iterations", iterations)
-    return GoldenSectionResult(x=x, fx=fx, iterations=iterations, converged=False)
+        reg.inc("numerics.hybrid.passes")
+        reg.inc("numerics.hybrid.rows", X.shape[0])
+        reg.inc("numerics.hybrid.points", X.size)
+    return func(X)
 
 
-def _eval_batch(
-    func_batch: BatchObjective | None,
-    func: Callable[[float], float],
-    xs: Sequence[float],
-) -> list[float]:
-    """One evaluation pass over ``xs``: vectorised when a batched
-    objective is available, scalar otherwise.  Returns plain floats."""
-    reg = _metrics()
-    if reg is not None:
-        # a vectorised call is one pass however many points it covers; a
-        # scalar fallback pays one pass per point
-        reg.inc("numerics.hybrid.passes", 1 if func_batch is not None else len(xs))
-        reg.inc("numerics.hybrid.points", len(xs))
-    if func_batch is not None:
-        arr = func_batch(np.asarray(xs, dtype=np.float64))
-        return [float(v) for v in np.asarray(arr, dtype=np.float64).ravel()]
-    return [func(x) for x in xs]
-
-
-def _count_scalar_evals(n: int) -> None:
-    reg = _metrics()
-    if reg is not None:
-        reg.inc("numerics.hybrid.passes", n)
-        reg.inc("numerics.hybrid.points", n)
-
-
-class _CountedScalar:
-    """Wrap the scalar objective so Brent's evaluations are counted as
-    hybrid evaluation passes (one point each)."""
-
-    __slots__ = ("func",)
-
-    def __init__(self, func: Callable[[float], float]) -> None:
-        self.func = func
-
-    def __call__(self, x: float) -> float:
-        _count_scalar_evals(1)
-        return self.func(x)
-
-
-def _parabolic_polish(
-    func: Callable[[float], float],
-    func_batch: BatchObjective | None,
-    x: float,
-    fx: float,
-    *,
-    lo: float,
-    hi: float,
-    h_rel: float = 1e-3,
-) -> tuple[float, float]:
-    """Pin the minimiser with one symmetric three-point parabola fit.
-
-    Bracket-based refinement localises the abscissa no better than
-    ``sqrt(eps)`` relative (the objective is flat to round-off there),
-    so independently warm- and cold-started solves would disagree at the
-    ~1e-6 level.  The vertex of the parabola through ``x(1 -+ h)``
-    depends on the fit centre only at second order, so solves entering
-    the polish from different Brent end points (offset ~``rel_tol * x``
-    from each other) exit on the same vertex to ~1e-10 relative -- which
-    is what lets cached, warm and cold solves agree to <= 1e-9.
-
-    The stencil width trades systematic error (the cubic term
-    contributes ``O(h^2)`` bias -- but the *same* bias for every entry
-    path, so it cancels in equivalence comparisons) against noise
-    amplification ``~eta / (kappa * h)``, where ``kappa`` is the
-    dimensionless curvature ``f'' x^2 / f`` and ``eta`` the objective's
-    relative evaluation noise.  ``Gamma(T)/T`` is built from conditioned
-    cdf / partial-expectation differences (``eta ~ 1e-14``, well above
-    one ulp) and is extremely flat near deep-tail optima
-    (``kappa ~ 0.1``), so ``h = 1e-3`` is needed to hold the measured
-    vertex scatter near 1e-10 relative -- ``h = 1e-5`` sits two decades
-    higher and would blow the 1e-9 budget.
-    """
-    x0, x2 = x * (1.0 - h_rel), x * (1.0 + h_rel)
-    if not (lo <= x0 and x2 <= hi):
-        return x, fx
-    f0, f2 = _eval_batch(func_batch, func, [x0, x2])
+def _vertex(
+    x: FloatArray, fx: FloatArray, f0: FloatArray, f2: FloatArray, inside: NDArray[np.bool_]
+) -> tuple[FloatArray, NDArray[np.bool_]]:
+    """Vertex of the parabola through ``x(1 -+ h)`` and ``x``, and whether
+    to trust it: the stencil must lie in the domain (``inside``) and be
+    convex, and the vertex must stay inside the stencil."""
     denom = (f0 - fx) + (f2 - fx)
-    if not (math.isfinite(denom) and denom > 0.0):
-        return x, fx  # stencil not convex: leave the abscissa alone
-    shift = 0.5 * h_rel * x * (f0 - f2) / denom
-    if abs(shift) >= h_rel * x:
-        return x, fx  # vertex escaped the stencil: distrust it
-    v = x + shift
-    fv = func(v)
-    _count_scalar_evals(1)
-    if math.isfinite(fv) and fv <= max(f0, f2):
-        return v, fv
-    return x, fx
+    convex = denom > 0.0
+    shift = (0.5 * _H_REL) * x * (f0 - f2) / np.where(convex, denom, 1.0)
+    ok = inside & convex & (np.abs(shift) < _H_REL * x)
+    return np.where(ok, x + shift, x), ok
 
 
-def minimize_positive_hybrid(
-    func: Callable[[float], float],
-    *,
-    func_batch: BatchObjective | None = None,
-    guess: float,
-    warm_start: float | None = None,
-    lo: float = 1e-6,
-    hi: float = 1e9,
-    rel_tol: float = 1e-8,
-    grid_points: int = 48,
-    polish: bool = True,
-) -> GoldenSectionResult:
-    """Minimise ``func`` over ``(lo, hi)`` -- the solver fast path.
+#: the row minimiser's fixed schedule: a 48-point log grid, two zooms
+#: of 62 points (each narrows the bracket 32-fold) and a polish stencil
+#: of half-width _H_REL (see :func:`minimize_rows` for the choice)
+_GRID_POINTS = 48
+_ZOOM_POINTS = 62
+_ZOOM_PASSES = 2
+_H_REL = 1e-3
+_HALF = _ZOOM_POINTS // 2
+#: grid abscissae as fractions of a row's log width
+_GRID = np.linspace(0.0, 1.0, _GRID_POINTS)
+#: zoom abscissae as fractions of the bracket's log width: ``j / (m + 2)``
+#: for ``m`` zoom points, skipping the centre ``j = m/2 + 1``
+_ZOOM = np.concatenate([np.arange(1, _HALF + 1), np.arange(_HALF + 2, _ZOOM_POINTS + 2)]) / (
+    _ZOOM_POINTS + 2.0
+)
+#: the narrowed bracket's left edge for each merged zoom index (the
+#: centre included), as a fraction of the old bracket's width
+_EDGE = np.arange(_ZOOM_POINTS + 1) / (_ZOOM_POINTS + 2.0)
+_STENCIL2 = np.array([1.0 - _H_REL, 1.0 + _H_REL])
+_STENCIL3 = np.array([1.0, 1.0 - _H_REL, 1.0 + _H_REL])
 
-    Strategy, in order:
 
-    1. **Warm start** (when ``warm_start`` is given): evaluate the
-       narrow triple ``warm / k, warm, warm * k`` in one batched pass;
-       if it brackets, Brent-refine it directly.  A second, wider triple
-       is tried before giving up.  When refinement would run into a
-       bracket edge the warm path is abandoned for the full cold path,
-       so a stale seed can slow the solve but never corrupt it.
-    2. **Cold path**: one batched log-spaced grid pass over
-       ``[lo, hi]`` replaces the sequential ``mnbrak`` walk; the best
-       grid cell becomes the bracket and Brent refines it.
-    3. **Polish**: a final symmetric parabola fit pins the abscissa to
-       ~1e-10 relative (see :func:`_parabolic_polish`).
+def minimize_rows(func: BatchObjective, lo: FloatArray, hi: FloatArray) -> RowMinima:
+    """Minimise many independent objectives over ``(lo[i], hi[i])`` together.
 
-    Falls back to :func:`minimize_positive_scalar` when the grid finds
-    no interior minimum (monotone objectives, edge plateaus), so its
-    robustness guarantees carry over unchanged.
+    ``func`` maps a ``(rows, n)`` array of abscissae to the ``(rows, n)``
+    objective values, row ``i`` under objective ``i``; values must be
+    finite (callers map non-finite values to a large sentinel).  Every
+    row takes the same fixed sequence of vectorised passes, so a row's
+    result is bitwise independent of which other rows share the call:
+
+    1. **grid** -- 48 log-spaced abscissae over the row's domain; the
+       best interior point and its neighbours bracket the minimum;
+    2. **zoom** -- two passes of 62 log-spaced abscissae inside the
+       bracket, each keeping the best point and its neighbours (a
+       32-fold narrower bracket);
+    3. **polish** -- the symmetric three-point parabola fit through
+       ``x(1 -+ h)``, applied twice.  The first fit lands within the
+       cubic term's ``O(d^2)`` of the minimum from an entry offset ``d``;
+       the second removes that.  A vertex is kept only when its value does
+       not exceed the stencil's larger end, so a noisy or non-convex
+       stencil leaves the abscissa alone.
+
+    Six passes in all.  ``h = 1e-3`` trades the stencil's cubic bias
+    (``O(h^2)``) against noise amplification ``~eta / (kappa h)``, where
+    ``kappa = f'' x^2 / f`` is the dimensionless curvature and ``eta``
+    the objective's relative evaluation noise: ``Gamma(T)/T`` is very flat
+    near deep-tail optima (``kappa ~ 0.1``), and a narrower stencil would
+    hand the vertex to round-off.
     """
-    if not (lo < hi):
-        raise ValueError(f"invalid domain: lo={lo} must be < hi={hi}")
+    lo = np.asarray(lo, dtype=np.float64).ravel()
+    hi = np.asarray(hi, dtype=np.float64).ravel()
+    if lo.shape != hi.shape:
+        raise ValueError(f"lo and hi differ in shape: {lo.shape} != {hi.shape}")
+    if not bool(np.all((lo > 0.0) & (lo < hi))):
+        raise ValueError("every row needs a domain 0 < lo < hi")
     reg = _metrics()
     if reg is not None:
         reg.inc("numerics.hybrid.calls")
-    clamped = _Clamped(func, lo, hi)
-    counted = _CountedScalar(clamped)
+    n = lo.size
+    rows = np.arange(n)
 
-    # -- 1. warm start -------------------------------------------------
-    if warm_start is not None and lo < warm_start < hi:
-        for widen in (1.3, 4.0):
-            xs = [warm_start / widen, warm_start, warm_start * widen]
-            if xs[0] <= lo or xs[2] >= hi:
-                break  # seed too close to the domain edge: go cold
-            fs = _eval_batch(func_batch, clamped, xs)
-            if all(math.isfinite(f) for f in fs) and fs[1] <= fs[0] and fs[1] <= fs[2] and (
-                fs[1] < fs[0] or fs[1] < fs[2]
-            ):
-                if reg is not None:
-                    reg.inc("opt.warm.hits")
-                bracket = Bracket(a=xs[0], b=xs[1], c=xs[2], fa=fs[0], fb=fs[1], fc=fs[2])
-                result = brent_minimize(counted, bracket, rel_tol=rel_tol)
-                if polish:
-                    x, fx = _parabolic_polish(clamped, func_batch, result.x, result.fx, lo=lo, hi=hi)
-                    return GoldenSectionResult(
-                        x=x, fx=fx, iterations=result.iterations, converged=result.converged
-                    )
-                return result
-        if reg is not None:
-            reg.inc("opt.warm.fallbacks")
+    # -- 1. grid --------------------------------------------------------
+    left = np.log(lo)
+    width = np.log(hi) - left
+    LG = left[:, None] + width[:, None] * _GRID
+    XG = np.exp(LG)
+    FG = _evaluate(func, XG)
+    best = np.argmin(FG, axis=1)
+    b = np.minimum(np.maximum(best, 1), _GRID_POINTS - 2)
+    fx = FG[rows, b]
+    # the argmin is no larger than its neighbours; a bracket also needs
+    # an interior point strictly below one of them
+    interior = best == b  # reprolint: ignore[RL002] -- integer grid indices
+    bracketed = interior & ((fx < FG[rows, b - 1]) | (fx < FG[rows, b + 1]))
+    x = XG[rows, b]
+    left = LG[rows, b - 1]
+    width = LG[rows, b + 1] - left
 
-    # -- 2. cold path: batched grid bracket + Brent --------------------
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    xs = [math.exp(log_lo + (log_hi - log_lo) * i / (grid_points - 1)) for i in range(grid_points)]
-    fs = _eval_batch(func_batch, clamped, xs)
-    finite = [f if math.isfinite(f) else math.inf for f in fs]
-    best = min(range(len(xs)), key=lambda i: finite[i])
-    interior = 0 < best < len(xs) - 1
-    if (
-        math.isfinite(finite[best])
-        and interior
-        and finite[best] <= finite[best - 1]
-        and finite[best] <= finite[best + 1]
-        and (finite[best] < finite[best - 1] or finite[best] < finite[best + 1])
-    ):
-        bracket = Bracket(
-            a=xs[best - 1],
-            b=xs[best],
-            c=xs[best + 1],
-            fa=finite[best - 1],
-            fb=finite[best],
-            fc=finite[best + 1],
-        )
-        result = brent_minimize(counted, bracket, rel_tol=rel_tol)
-        if polish:
-            x, fx = _parabolic_polish(clamped, func_batch, result.x, result.fx, lo=lo, hi=hi)
-            return GoldenSectionResult(
-                x=x, fx=fx, iterations=result.iterations, converged=result.converged
-            )
-        return result
+    # -- 2. zoom --------------------------------------------------------
+    # the centre x sits at the bracket's log midpoint; the zoom abscissae
+    # fall half on each side of it, and the best of them and the centre
+    # becomes the centre of a bracket (_ZOOM_POINTS + 2) / 2 times narrower
+    merged = np.empty((n, _ZOOM_POINTS + 1))
+    for _ in range(_ZOOM_PASSES):
+        XZ = np.exp(left[:, None] + width[:, None] * _ZOOM)
+        FZ = _evaluate(func, XZ)
+        merged[:, :_HALF] = FZ[:, :_HALF]
+        merged[:, _HALF] = fx
+        merged[:, _HALF + 1 :] = FZ[:, _HALF:]
+        k = np.argmin(merged, axis=1)
+        fx = merged[rows, k]
+        x = np.where(k == _HALF, x, XZ[rows, k - (k > _HALF)])
+        left = left + width * _EDGE[k]
+        width = width * (2.0 / (_ZOOM_POINTS + 2.0))
 
-    # -- 3. awkward shapes: the legacy robust path ----------------------
-    if reg is not None:
-        reg.inc("numerics.hybrid.cold_fallbacks")
-    return minimize_positive_scalar(
-        func, guess=guess, lo=lo, hi=hi, rel_tol=rel_tol, grid_points=grid_points
+    # -- 3. polish ------------------------------------------------------
+    # a stencil centred on x fits the domain when lo_in <= x <= hi_in
+    lo_in, hi_in = lo / (1.0 - _H_REL), hi / (1.0 + _H_REL)
+    f02 = _evaluate(func, x[:, None] * _STENCIL2)
+    v, ok = _vertex(x, fx, f02[:, 0], f02[:, 1], (x >= lo_in) & (x <= hi_in))
+    around = _evaluate(func, v[:, None] * _STENCIL3)
+    take = ok & (around[:, 0] <= np.maximum(f02[:, 0], f02[:, 1]))
+    x = np.where(take, v, x)
+    fx = np.where(take, around[:, 0], fx)
+    # second fit, centred on the accepted vertex (a rejected vertex
+    # would only be refitted to itself and rejected again)
+    inside = take & (v >= lo_in) & (v <= hi_in)
+    v2, ok2 = _vertex(v, around[:, 0], around[:, 1], around[:, 2], inside)
+    f_v2 = _evaluate(func, v2[:, None])[:, 0]
+    take2 = ok2 & (f_v2 <= np.maximum(around[:, 1], around[:, 2]))
+    return RowMinima(
+        x=np.where(take2, v2, x),
+        fx=np.where(take2, f_v2, fx),
+        bracketed=bracketed,
     )

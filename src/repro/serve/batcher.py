@@ -13,10 +13,11 @@ fingerprint, cost triple and solver settings -- and each group is
 dispatched through one
 :func:`~repro.core.optimizer.optimize_intervals_batch` call: duplicate
 ages inside a group collapse to a single solve (the dominant effect for
-a pool manager polling a fleet at bucketed uptimes), and each distinct
-age costs one vectorised hybrid pass.  Results are therefore **bitwise
-identical** to per-request scalar solves; batching only changes *when*
-and *how often* the solver runs, never what it returns.
+a pool manager polling a fleet at bucketed uptimes), and the distinct
+ages are solved together as rows of one vectorised row solve.  A row's
+result does not depend on its neighbours, so results are **bitwise
+identical** to per-request solves; batching only changes *when* and
+*how often* the solver runs, never what it returns.
 
 Solving happens on the event loop, not in a worker thread: the
 process-global :class:`~repro.core.solver_cache.SolverCache` and the

@@ -14,9 +14,11 @@ batched array arithmetic with no per-event Python:
 2. **Precompute the schedule's cycle table.**  Each occupancy starts at
    uptime zero, so one schedule serves every interval.  The table
    ``cum[k] = sum_{j<k}(T_j + C + L)`` (work + transfer + commit
-   latency per committed cycle) is built once from
-   :meth:`~repro.core.schedule.CheckpointSchedule.interval_array`,
-   lazily doubled until it covers the longest post-recovery budget seen.
+   latency per committed cycle) is built once, exactly as long as the
+   longest post-recovery budget needs: :func:`replay_batch` first
+   advances every schedule of a fitted model in lock-step
+   (:func:`~repro.core.schedule.fill_schedules`, one batched solve per
+   step) to its covering prefix, which the table then reads.
 3. **Resolve every interval with one ``searchsorted``.**  The number of
    committed cycles in an interval with post-recovery budget ``a'`` is
    ``searchsorted(cum, a', side='right') - 1``; the remainder
@@ -44,6 +46,7 @@ from typing import Any, Protocol, cast
 
 import numpy as np
 
+from repro.core.schedule import MAX_FILL_LENGTH, CheckpointSchedule, fill_schedules
 from repro.obs.metrics import active as _metrics
 from repro.simulation.accounting import SimulationConfig, SimulationResult
 
@@ -61,8 +64,9 @@ IntArray = np.ndarray[Any, np.dtype[np.int64]]
 
 #: Hard ceiling on cycle-table length (cycles), bounding table memory;
 #: reaching it means budgets dwarf the cycle length by ~7 orders of
-#: magnitude and the scalar loop would be intractable anyway.
-MAX_TABLE_CYCLES = 1 << 22
+#: magnitude and the scalar loop would be intractable anyway.  The same
+#: ceiling as a schedule fill's.
+MAX_TABLE_CYCLES = MAX_FILL_LENGTH
 
 
 class ScheduleLike(Protocol):
@@ -93,6 +97,11 @@ def _cycle_tables(
     ``first_bad`` is the index of the first zero-length cycle in the
     table (``-1`` if none): committing such a cycle would never advance
     the clock, so the caller raises if any interval reaches it.
+
+    A :class:`~repro.core.schedule.CheckpointSchedule` is read to its
+    exact covering length ``K`` (the least with ``cum[K] > max_budget``),
+    so no interval past coverage is solved; other schedules are read
+    from a guess, doubled until it covers.
     """
     t_first = float(schedule.intervals(1)[0])
     first_cycle = t_first + overhead
@@ -100,10 +109,12 @@ def _cycle_tables(
         # every interval with a positive budget would commit cycle 0
         # without advancing time (the scalar loop's infinite spin)
         raise _no_progress_error(0, t_first, overhead)
-    # constant-interval schedules (the memoryless common case) make the
-    # guess exact; drifting schedules converge within a doubling or two
-    guess = int(max_budget / first_cycle) + 2
-    K = max(1, min(guess, MAX_TABLE_CYCLES))
+    if isinstance(schedule, CheckpointSchedule):
+        K = schedule.cover(max_budget, overhead)
+    else:
+        # constant-interval schedules make the guess exact; drifting
+        # ones converge within a doubling or two
+        K = max(1, min(int(max_budget / first_cycle) + 2, MAX_TABLE_CYCLES))
     prev_total = -np.inf
     while True:
         T = np.asarray(schedule.intervals(K), dtype=np.float64)
@@ -434,14 +445,65 @@ class BatchReplayItem:
     model_name: str = "model"
 
 
+def _max_budget(durations: Any, config: SimulationConfig) -> float | None:
+    """The longest post-recovery budget :func:`replay_flat_pool` will
+    see for ``durations`` (the same float: ``a - R`` is monotone in
+    ``a``), or ``None`` when the durations are invalid (the replay
+    raises on them)."""
+    a = np.asarray(durations, dtype=np.float64)
+    if a.size == 0:
+        return 0.0
+    top = float(a.max())
+    if not np.isfinite(top) or float(a.min()) < 0.0:
+        return None
+    if config.recover_on_start:
+        R = config.effective_recovery_cost
+        return top - R if R <= top else 0.0
+    return top
+
+
+def _fill_lockstep(items: Sequence[BatchReplayItem]) -> None:
+    """Solve every item's schedule to its covering prefix, one lock-step
+    fill per fitted model (schedules sharing a distribution object).
+
+    A schedule is filled to its items' longest budget, with the cycle
+    overhead of its first item's config.
+    """
+    need: dict[int, tuple[CheckpointSchedule, float, float]] = {}
+    for item in items:
+        sched = item.schedule
+        if not isinstance(sched, CheckpointSchedule):
+            continue
+        budget = _max_budget(item.durations, item.config)
+        if budget is None:
+            continue
+        prev = need.get(id(sched))
+        if prev is None:
+            need[id(sched)] = (sched, budget, item.config.checkpoint_cost + item.config.latency)
+        elif budget > prev[1]:
+            need[id(sched)] = (sched, budget, prev[2])
+    models: dict[int, list[tuple[CheckpointSchedule, float, float]]] = {}
+    for entry in need.values():
+        models.setdefault(id(entry[0].distribution), []).append(entry)
+    for group in models.values():
+        fill_schedules(
+            [sched for sched, _, _ in group],
+            [budget for _, budget, _ in group],
+            [overhead for _, _, overhead in group],
+        )
+
+
 def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     """Replay heterogeneous items, vectorizing within groups.
 
-    Items sharing a schedule *and* a config object (identity, not
-    equality: the pool runner builds exactly one of each per sweep
-    point) are flattened into one kernel invocation; results come back
-    in input order.
+    Every schedule is first solved to exactly the prefix its replays
+    read, in lock-step with the other schedules of its fitted model
+    (one batched solve per step).  Items sharing a schedule *and* a
+    config object (identity, not equality: the pool runner builds
+    exactly one of each per sweep point) are then flattened into one
+    kernel invocation; results come back in input order.
     """
+    _fill_lockstep(items)
     groups: dict[tuple[int, int], list[int]] = {}
     for idx, item in enumerate(items):
         groups.setdefault((id(item.schedule), id(item.config)), []).append(idx)

@@ -402,3 +402,56 @@ class TestKernelMetrics:
         )
         assert counters["sim.batch.machines"] == 2
         assert counters["sim.batch.segments"] == 3
+
+
+class TestExactCoverage:
+    """The cycle table reads exactly the covering prefix of each schedule,
+    and nothing past it is ever solved."""
+
+    @staticmethod
+    def _covering_length(intervals, overhead, budget):
+        cum = np.cumsum(np.asarray(intervals) + overhead)
+        return int(np.searchsorted(cum, budget, side="right")) + 1
+
+    def test_lockstep_fill_stops_at_coverage(self):
+        rng = np.random.default_rng(11)
+        dist = Weibull(0.43, 3409.0)
+        durations = [dist.sample(40, rng) for _ in range(3)]
+        configs = [SimulationConfig(checkpoint_cost=c, latency=5.0) for c in (30.0, 110.0, 475.0)]
+        items, budgets = [], []
+        for cfg in configs:
+            sched = CheckpointSchedule(dist, CheckpointCosts(cfg.checkpoint_cost, cfg.checkpoint_cost, 5.0))
+            for m, d in enumerate(durations):
+                items.append(BatchReplayItem(schedule=sched, durations=d, config=cfg, machine_id=f"m{m}"))
+            budgets.append(max(float(d.max()) for d in durations) - cfg.checkpoint_cost)
+        with use_metrics() as reg:
+            replay_batch(items)
+        counters = reg.as_dict()["counters"]
+        table = reg.as_dict()["histograms"]["sim.batch.table_cycles"]
+        lengths = []
+        for cfg, budget in zip(configs, budgets, strict=True):
+            sched = next(it.schedule for it in items if it.config is cfg)
+            solved = [opt.T_opt for opt in sched._intervals]
+            assert len(solved) == self._covering_length(solved, cfg.checkpoint_cost + 5.0, budget)
+            lengths.append(len(solved))
+        assert table["count"] == len(configs)
+        assert table["sum"] == sum(lengths)
+        assert counters["schedule.solves"] <= sum(lengths)
+
+    def test_sweep_base_input_solves_only_covering_intervals(self):
+        from repro.core.solver_cache import SolverCache, use_solver_cache
+        from repro.experiments.study import run_simulation_study
+        from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
+
+        pool = generate_condor_pool(
+            SyntheticPoolConfig(n_machines=4, n_observations=125), np.random.default_rng(2005)
+        )
+        with use_solver_cache(SolverCache()), use_metrics() as reg:
+            run_simulation_study(pool, n_workers=1)
+        snapshot = reg.as_dict()
+        # 4 machines x 4 models x 10 costs: 160 cycle tables of 3,619
+        # intervals in all, 1,373 of them solved (the rest memoryless or
+        # converged tails)
+        assert snapshot["counters"]["schedule.solves"] == 1373
+        assert snapshot["histograms"]["sim.batch.table_cycles"]["count"] == 160
+        assert snapshot["histograms"]["sim.batch.table_cycles"]["sum"] == 3619

@@ -1,18 +1,23 @@
-"""Tests for bracketing and Golden Section Search."""
+"""Tests for bracketing, Golden Section Search, the row minimiser, and
+the scalar Brent hybrid kept as the solver's test oracle."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.numerics import (
     Bracket,
     BracketError,
     bracket_minimum,
-    brent_minimize,
     golden_section_minimize,
-    minimize_positive_hybrid,
     minimize_positive_scalar,
+    minimize_rows,
 )
+from repro.obs.metrics import use as use_metrics
+from tests.solver_oracle import brent_minimize, minimize_positive_hybrid
 
 
 class TestBracket:
@@ -228,56 +233,6 @@ class TestMinimizePositiveHybrid:
         b = minimize_positive_hybrid(self._f, guess=1.0, lo=1e-3, hi=1e5)
         assert a.x == pytest.approx(b.x, rel=1e-9)
 
-    def test_warm_start_matches_cold(self):
-        cold = minimize_positive_hybrid(
-            self._f, func_batch=self._f_batch, guess=1.0, lo=1e-3, hi=1e5
-        )
-        warm = minimize_positive_hybrid(
-            self._f,
-            func_batch=self._f_batch,
-            guess=1.0,
-            warm_start=cold.x * 1.01,
-            lo=1e-3,
-            hi=1e5,
-        )
-        assert warm.x == pytest.approx(cold.x, rel=1e-9)
-
-    def test_warm_start_counts_fewer_passes(self):
-        from repro.obs.metrics import use as use_metrics
-
-        with use_metrics() as reg:
-            minimize_positive_hybrid(
-                self._f, func_batch=self._f_batch, guess=1.0, lo=1e-3, hi=1e5
-            )
-        cold_passes = reg.as_dict()["counters"]["numerics.hybrid.passes"]
-        with use_metrics() as reg:
-            minimize_positive_hybrid(
-                self._f,
-                func_batch=self._f_batch,
-                guess=1.0,
-                warm_start=self.F_MIN * 1.001,
-                lo=1e-3,
-                hi=1e5,
-            )
-        counters = reg.as_dict()["counters"]
-        assert counters["opt.warm.hits"] == 1.0
-        assert counters["numerics.hybrid.passes"] < cold_passes
-
-    def test_bad_warm_seed_falls_back_to_cold(self):
-        from repro.obs.metrics import use as use_metrics
-
-        with use_metrics() as reg:
-            res = minimize_positive_hybrid(
-                self._f,
-                func_batch=self._f_batch,
-                guess=1.0,
-                warm_start=self.F_MIN * 500.0,
-                lo=1e-3,
-                hi=1e5,
-            )
-        assert res.x == pytest.approx(self.F_MIN, rel=1e-5)
-        assert reg.as_dict()["counters"]["opt.warm.fallbacks"] == 1.0
-
     def test_monotone_objective_falls_back_to_scalar(self):
         res = minimize_positive_hybrid(lambda x: x, guess=1.0, lo=1e-3, hi=1e3)
         assert res.x == pytest.approx(1e-3, rel=1e-6)
@@ -285,3 +240,70 @@ class TestMinimizePositiveHybrid:
     def test_invalid_domain_rejected(self):
         with pytest.raises(ValueError):
             minimize_positive_hybrid(self._f, guess=1.0, lo=10.0, hi=1.0)
+
+
+class TestMinimizeRows:
+    """The vectorised row minimiser behind ``method="hybrid"``."""
+
+    F_MIN = math.exp(2.0)
+
+    @staticmethod
+    def _f(X):
+        return (np.log(X) - 2.0) ** 2 + 0.5
+
+    def test_accurate(self):
+        res = minimize_rows(self._f, np.array([1e-3]), np.array([1e5]))
+        assert bool(res.bracketed[0])
+        assert res.x[0] == pytest.approx(self.F_MIN, rel=1e-6)
+        assert res.fx[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_agrees_with_brent_oracle(self):
+        def scaled(X):
+            return (np.log(X / 37.0) - 1.5) ** 2 + 0.25 * np.log(X) ** 2 / 100.0
+
+        res = minimize_rows(scaled, np.array([1e-3]), np.array([1e7]))
+        oracle = minimize_positive_hybrid(
+            lambda x: float(scaled(np.array([x]))[0]), func_batch=scaled, guess=1.0, lo=1e-3, hi=1e7
+        )
+        assert res.x[0] == pytest.approx(oracle.x, rel=1e-9)
+
+    def test_monotone_row_is_not_bracketed(self):
+        res = minimize_rows(lambda X: X.copy(), np.array([1e-3, 1e-3]), np.array([1e3, 1e3]))
+        assert not res.bracketed.any()
+
+    def test_six_passes_whatever_the_rows(self):
+        for n in (1, 7):
+            with use_metrics() as reg:
+                minimize_rows(self._f, np.full(n, 1e-3), np.full(n, 1e5))
+            counters = reg.as_dict()["counters"]
+            assert counters["numerics.hybrid.passes"] == 6.0
+            assert counters["numerics.hybrid.rows"] == 6.0 * n
+
+    @pytest.mark.parametrize("lo,hi", [(10.0, 1.0), (0.0, 1.0), (-1.0, 5.0)])
+    def test_invalid_domain_rejected(self, lo, hi):
+        with pytest.raises(ValueError):
+            minimize_rows(self._f, np.array([lo]), np.array([hi]))
+
+    @given(
+        st.lists(st.floats(min_value=0.5, max_value=8.0), min_size=1, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_are_independent(self, centres, rnd):
+        """Reordering or padding the rows leaves each row's result bitwise."""
+
+        def rows_f(c):
+            def f(X):
+                return (np.log(X) - c[:, None]) ** 2 + 0.5 + 1e-3 * np.log(X) ** 3
+            return f
+
+        c = np.array(centres)
+        lo, hi = np.full(c.size, 1e-3), np.full(c.size, 1e6)
+        alone = [minimize_rows(rows_f(c[i : i + 1]), lo[:1], hi[:1]) for i in range(c.size)]
+        order = list(range(c.size))
+        rnd.shuffle(order)
+        padded = np.concatenate([c[order], [3.0, 0.1]])
+        batch = minimize_rows(rows_f(padded), np.full(padded.size, 1e-3), np.full(padded.size, 1e6))
+        for pos, i in enumerate(order):
+            assert batch.x[pos] == alone[i].x[0]
+            assert batch.fx[pos] == alone[i].fx[0]

@@ -256,7 +256,7 @@ class TestCliMetrics:
         counters = report["metrics"]["counters"]
         # optimizer, schedule and replay layers must all have fired
         assert counters["numerics.hybrid.passes"] > 0
-        assert counters["numerics.brent.iterations"] > 0
+        assert counters["numerics.hybrid.rows"] >= counters["numerics.hybrid.passes"]
         assert counters["opt.cache.misses"] > 0
         assert counters["schedule.solves"] > 0
         assert (

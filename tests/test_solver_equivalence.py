@@ -1,13 +1,16 @@
-"""Golden-master equivalence of the solver fast paths.
+"""Golden-master equivalence of the solver paths.
 
-The hybrid solver's warm starts, batched evaluation and result caching
-are pure performance devices: every path must reproduce the cold solve
-to <= 1e-9 *relative* in ``T_opt`` (the parabolic polish pins the
-abscissa far below the bracket tolerance, so independently started
-solves land on the same point).  The suite sweeps the paper's model
-families from age 0 into the deep conditional tail.
+Batching, lock-step schedule fills, serving and result caching are pure
+performance devices: a row of the hybrid row solver is computed
+elementwise, apart from the rows beside it, so every path reproduces the
+cold solve *bitwise*.  The looser ``<= 1e-9`` relative budget bounds the
+row solver against the scalar Brent oracle (``tests/solver_oracle.py``).
+The suite sweeps the paper's model families from age 0 into the deep
+conditional tail, plus fits taken from the pool sweep.
 """
 
+import asyncio
+import json
 import math
 
 import numpy as np
@@ -15,15 +18,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.distributions.conditional as conditional_module
+import repro.distributions.weibull as weibull_module
 from repro.core import (
     CheckpointCosts,
+    CheckpointSchedule,
     MarkovIntervalModel,
     SolverCache,
     optimize_interval,
     use_solver,
     use_solver_cache,
 )
+from repro.core.optimizer import optimize_intervals_batch
+from repro.core.schedule import fill_schedules
 from repro.distributions import Exponential, Hyperexponential, Weibull
+from repro.serve.registry import TenantRegistry
+from repro.serve.server import ScheduleServer, ServerConfig
+from tests.solver_oracle import minimize_positive_hybrid
 
 REL_BUDGET = 1e-9
 
@@ -44,31 +55,41 @@ CASES = {
 }
 
 
-def _cold(dist, age):
+#: a Weibull fit of the pool sweep at an age its schedule reaches: a
+#: flat, deep-tail optimum where solves entered from different brackets
+#: land 3e-6 apart, so only bitwise paths agree
+SWEEP_FIT = (Weibull(0.34861678622050735, 834.6982882412103), 5.179e5, CheckpointCosts.symmetric(50.0))
+
+
+def _cold(dist, age, costs=COSTS):
     with use_solver_cache(None):
-        return optimize_interval(dist, COSTS, age=age)
+        return optimize_interval(dist, costs, age=age)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 class TestGoldenMaster:
     def test_warm_matches_cold(self, name):
+        """A solve made warm -- its age chain batched and cached first, in
+        reverse -- is the cold solve, bitwise."""
         dist, ages = CASES[name]
-        seed = None
-        for age in ages:
-            cold = _cold(dist, age)
-            if seed is not None:
-                with use_solver_cache(None):
-                    warm = optimize_interval(dist, COSTS, age=age, warm_start=seed)
-                assert warm.T_opt == pytest.approx(cold.T_opt, rel=REL_BUDGET)
-            seed = cold.T_opt
+        cold = [_cold(dist, age) for age in ages]
+        with use_solver_cache(SolverCache()) as cache:
+            optimize_intervals_batch(dist, COSTS, ages[::-1])
+            warm = [optimize_interval(dist, COSTS, age=age) for age in ages]
+            assert cache.hits == len(ages)
+        assert warm == cold
 
     def test_bad_seed_matches_cold(self, name):
+        """A row batched beside far-off rows -- other ages, other costs
+        -- is the cold solve, bitwise."""
         dist, ages = CASES[name]
         cold = _cold(dist, ages[0])
-        for bad in (cold.T_opt * 50.0, cold.T_opt / 50.0):
-            with use_solver_cache(None):
-                warm = optimize_interval(dist, COSTS, age=ages[0], warm_start=bad)
-            assert warm.T_opt == pytest.approx(cold.T_opt, rel=REL_BUDGET)
+        far = [CheckpointCosts.symmetric(5000.0), COSTS, CheckpointCosts.symmetric(0.5)]
+        with use_solver_cache(None):
+            batch = optimize_intervals_batch(
+                dist, [*far, COSTS], [ages[-1] * 50.0 + 1e5, ages[-1], 0.0, ages[0]]
+            )
+        assert batch[-1] == cold
 
     def test_cached_matches_cold(self, name):
         dist, ages = CASES[name]
@@ -78,7 +99,21 @@ class TestGoldenMaster:
                 optimize_interval(dist, COSTS, age=age)
                 cached = optimize_interval(dist, COSTS, age=age)
                 assert cache.hits == 1
-            assert cached.T_opt == pytest.approx(cold.T_opt, rel=REL_BUDGET)
+            assert cached == cold
+
+    def test_row_solver_matches_brent_oracle(self, name):
+        dist, ages = CASES[name]
+        for age in ages:
+            model = MarkovIntervalModel(dist, COSTS, age)
+            oracle = minimize_positive_hybrid(
+                model.overhead_ratio,
+                func_batch=model.overhead_ratio_batch,
+                guess=1000.0,
+                lo=1e-3,
+                hi=min(max(1e4 * float(dist.mean_residual_life(age)), 1e6), 1e9),
+                rel_tol=1e-6,
+            )
+            assert _cold(dist, age).T_opt == pytest.approx(oracle.x, rel=REL_BUDGET)
 
     def test_hybrid_agrees_with_golden_reference(self, name):
         dist, ages = CASES[name]
@@ -135,3 +170,118 @@ class TestBatchedObjective:
         out = model.overhead_ratio_batch(123.0)
         assert out.shape == (1,)
         assert float(out[0]) == pytest.approx(model.overhead_ratio(123.0), rel=1e-12)
+
+
+# ----------------------------------------------------------------------
+# bitwise equivalence of every solve path
+# ----------------------------------------------------------------------
+_ROW_DISTS = [dist for dist, _ in CASES.values()]
+_ROW_COSTS = [COSTS, CheckpointCosts.symmetric(50.0), CheckpointCosts(475.0, 300.0, 20.0)]
+_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 77.0, 3409.0, 40000.0, 2e5, 4e6]),
+        st.sampled_from(range(len(_ROW_COSTS))),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestBitwiseEquivalence:
+    @given(st.sampled_from(range(len(_ROW_DISTS))), _rows, st.randoms(use_true_random=False), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_split_reorder_pad_leave_rows_unchanged(self, d, rows, rnd, chunk):
+        """Splitting, reordering or padding a batch changes no row's result."""
+        dist = _ROW_DISTS[d]
+        ages = [age for age, _ in rows]
+        costs = [_ROW_COSTS[c] for _, c in rows]
+        with use_solver_cache(None):
+            whole = optimize_intervals_batch(dist, costs, ages)
+            order = list(range(len(rows)))
+            rnd.shuffle(order)
+            pad_ages = [*(ages[i] for i in order), 123.0, 9e5]
+            pad_costs = [*(costs[i] for i in order), CheckpointCosts.symmetric(2000.0), COSTS]
+            padded = optimize_intervals_batch(dist, pad_costs, pad_ages)
+            split = []
+            for k in range(0, len(rows), chunk):
+                split += optimize_intervals_batch(dist, costs[k : k + chunk], ages[k : k + chunk])
+        assert split == whole
+        for pos, i in enumerate(order):
+            assert padded[pos] == whole[i]
+
+    @pytest.mark.parametrize("name", [*sorted(CASES), "sweep-fit"])
+    def test_cached_cold_served_lockstep_agree(self, name):
+        if name == "sweep-fit":
+            dist, age, costs = SWEEP_FIT
+            ages = (age,)
+        else:
+            (dist, ages), costs = CASES[name], COSTS
+        cold = {age: _cold(dist, age, costs) for age in ages}
+        # cached: the second call is a hit
+        with use_solver_cache(SolverCache()) as cache:
+            for age in ages:
+                optimize_interval(dist, costs, age=age)
+                assert optimize_interval(dist, costs, age=age) == cold[age]
+            assert cache.hits == len(ages)
+        # served: through the daemon's codec and micro-batcher
+        assert _served(dist, costs, ages) == [cold[age].T_opt for age in ages]
+        # lock-step filled: every interval of schedules started at these
+        # ages, filled together, is the cold solve at the age it was
+        # solved for (memoryless and converged tails reuse a solve)
+        schedules = [CheckpointSchedule(dist, costs, t_elapsed=age) for age in ages]
+        with use_solver_cache(None):
+            lengths = fill_schedules(
+                schedules, [20.0 * cold[age].T_opt for age in ages], [costs.checkpoint] * len(ages)
+            )
+            for sched, n in zip(schedules, lengths, strict=True):
+                assert n > 1
+                for i in range(n):
+                    opt = sched.interval(i)
+                    assert opt == _cold(dist, opt.age, costs)
+
+
+def _served(dist, costs, ages):
+    registry = TenantRegistry()
+    registry.register("t", dist, costs)
+
+    async def session():
+        server = ScheduleServer(ServerConfig(batch_window_s=0.005), registry=registry)
+        await server.start()
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        for i, age in enumerate(ages):
+            writer.write((json.dumps({"op": "solve", "id": i, "pool": "t", "age": age}) + "\n").encode())
+        await writer.drain()
+        replies = {}
+        for _ in ages:
+            reply = json.loads(await reader.readline())
+            replies[reply["id"]] = reply["result"]["T_opt"]
+        writer.close()
+        await writer.wait_closed()
+        await server.stop()
+        return [replies[i] for i in range(len(ages))]
+
+    with use_solver_cache(SolverCache()):
+        return asyncio.run(session())
+
+
+class TestUpperTailConditional:
+    """Weibull fits of the pool sweep just above the deep-tail switch
+    (``S(age)`` ~ 1e-8), where the difference-form conditional put
+    ``T_opt`` off by +0.30% and +0.57%."""
+
+    FITS = [
+        (Weibull(0.5693085326516375, 1238.135164633769), 2e5),
+        (Weibull(0.6422891245316391, 2765.2380024237286), 3e5),
+    ]
+
+    @pytest.mark.parametrize("dist,age", FITS)
+    def test_matches_by_parts_oracle(self, dist, age, monkeypatch):
+        costs = CheckpointCosts.symmetric(50.0)
+        assert 1e-9 < float(dist.sf(age)) < 1e-7
+        fused = _cold(dist, age, costs)
+        # the by-parts reference: every conditional takes the survival
+        # quadrature that is otherwise reserved for the deep tail
+        monkeypatch.setattr(conditional_module, "_DEEP_TAIL_SURV", 1.0)
+        monkeypatch.setattr(weibull_module, "_DEEP_TAIL_SURV", 1.0)
+        by_parts = _cold(dist, age, costs)
+        assert fused.T_opt == pytest.approx(by_parts.T_opt, rel=1e-6)
