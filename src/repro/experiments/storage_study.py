@@ -11,8 +11,13 @@ exists for: how many of the paper's megabytes were the *schedule's*
 fault, and how many the *encoding's*?
 
 Protocol, mirroring the pool sweep: per machine, fit each model to the
-training prefix, then replay the whole trace once per (model, policy)
-with :func:`simulate_trace`; aggregate means across machines.  Because
+training prefix, then replay the whole trace once per (model, policy);
+aggregate means across machines.  Each (machine, model) builds one
+schedule per policy and replays them all with one
+:func:`~repro.simulation.batch_replay.replay_batch` call, which solves
+the schedules in lock-step (one batched solve per step) before the
+store loop walks them; every result is bitwise the one
+:func:`~repro.simulation.trace_sim.simulate_trace` gives.  Because
 every policy replays the same traces under the same fitted model, the
 megabyte columns are paired -- differences are pure storage effects.
 """
@@ -27,7 +32,8 @@ import numpy as np
 from repro.distributions.fitting import fit_model
 from repro.experiments.format import PaperTable
 from repro.simulation.accounting import SimulationConfig, SimulationResult
-from repro.simulation.trace_sim import simulate_trace
+from repro.simulation.batch_replay import BatchReplayItem, replay_batch
+from repro.simulation.trace_sim import model_schedule
 from repro.storage.policy import StoragePolicy
 from repro.traces.model import TRAINING_SET_SIZE, MachinePool
 from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
@@ -180,18 +186,22 @@ def run_storage_study(
         rng = np.random.default_rng(np.random.SeedSequence([em_seed, machine_key]))
         for model in study.model_names:
             dist = fit_model(model, train, rng=rng)
-            for policy_name, policy in policies:
+            items = []
+            for _name, policy in policies:
                 config = SimulationConfig(
                     checkpoint_cost=float(checkpoint_cost),
                     checkpoint_size_mb=float(checkpoint_size_mb),
                     storage=policy,
                 )
-                result = simulate_trace(
-                    dist,
-                    trace.durations,
-                    config,
-                    machine_id=trace.machine_id,
-                    model_name=model,
+                items.append(
+                    BatchReplayItem(
+                        schedule=model_schedule(dist, config),
+                        durations=trace.durations,
+                        config=config,
+                        machine_id=trace.machine_id,
+                        model_name=model,
+                    )
                 )
+            for policy_name, result in zip(study.policy_names, replay_batch(items), strict=True):
                 study.results.setdefault((model, policy_name), []).append(result)
     return study

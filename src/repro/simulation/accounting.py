@@ -107,6 +107,12 @@ class SimulationConfig:
         """``R``, defaulting to ``C``."""
         return self.checkpoint_cost if self.recovery_cost is None else self.recovery_cost
 
+    @property
+    def storage_backed(self) -> bool:
+        """Whether checkpoints flow through a store (a policy and a
+        nonzero image), not as flat ``checkpoint_size_mb`` transfers."""
+        return self.storage is not None and self.checkpoint_size_mb > 0
+
 
 @dataclass(frozen=True)
 class SimulationResult:

@@ -30,11 +30,17 @@ batched array arithmetic with no per-event Python:
    the machine-id column.
 
 The kernel covers the flat (non-storage) path only and emits no trace
-events; the scalar loop remains both the golden equivalence reference
+events.  :func:`replay_batch` is the one entry point for every kind of
+item: flat items go to the kernel, storage-backed items to the scalar
+store loop of :func:`~repro.simulation.trace_sim.replay_schedule` (each
+checkpoint's size depends on the store's state), and so does every
+item while a :class:`~repro.obs.tracing.TraceRecorder` is active, which
+keeps recorded spans per event.  Storage items are lock-step filled
+first like flat ones, so their store loop reads solved intervals only.
+The scalar loop is also the golden equivalence reference
 (``tests/test_batch_replay.py`` gates every ``SimulationResult`` field
-to <= 1e-9 relative) and the dispatch target whenever a storage policy
-or an active :class:`~repro.obs.tracing.TraceRecorder` needs per-event
-fidelity.  ``benchmarks/test_bench_replay.py`` holds the speedup floor.
+to <= 1e-9 relative); ``benchmarks/test_bench_replay.py`` holds the
+speedup floor.
 """
 
 from __future__ import annotations
@@ -48,7 +54,9 @@ import numpy as np
 
 from repro.core.schedule import MAX_FILL_LENGTH, CheckpointSchedule, fill_schedules
 from repro.obs.metrics import active as _metrics
+from repro.obs.tracing import active as _trace_active
 from repro.simulation.accounting import SimulationConfig, SimulationResult
+from repro.simulation.trace_sim import replay_schedule
 
 __all__ = [
     "BatchReplayArrays",
@@ -75,6 +83,8 @@ class ScheduleLike(Protocol):
     work intervals)."""
 
     def intervals(self, n: int) -> list[float]: ...
+
+    def work_interval(self, i: int) -> float: ...
 
     def expected_efficiency(self, i: int = 0) -> float: ...
 
@@ -260,7 +270,7 @@ def replay_flat_pool(
     :class:`SimulationResult` objects costs an order of magnitude more
     than the replay.  Supports the flat (non-storage) path only.
     """
-    if config.storage is not None and config.checkpoint_size_mb > 0:
+    if config.storage_backed:
         raise ValueError(
             "batch replay supports only the flat (non-storage) path; "
             "use replay_schedule for storage-backed configs"
@@ -445,43 +455,52 @@ class BatchReplayItem:
     model_name: str = "model"
 
 
-def _max_budget(durations: Any, config: SimulationConfig) -> float | None:
-    """The longest post-recovery budget :func:`replay_flat_pool` will
-    see for ``durations`` (the same float: ``a - R`` is monotone in
-    ``a``), or ``None`` when the durations are invalid (the replay
-    raises on them)."""
+def _fill_need(durations: Any, config: SimulationConfig) -> tuple[float, float] | None:
+    """``(budget, overhead)`` a schedule must cover for one item, or
+    ``None`` when the durations are invalid (the replay raises on them).
+
+    A flat item's budget is its longest post-recovery budget
+    :func:`replay_flat_pool` will see (the same float: ``a - R`` is
+    monotone in ``a``), at the kernel's cycle overhead ``C + L``.  A
+    storage item's budget is its longest occupancy, with no ``R``
+    subtracted (a recovery prices a variable restore chain, at least 0
+    seconds), at overhead ``L``: each store cycle costs at least
+    ``T + L``, so the store loop reads no interval past this cover.
+    """
+    storage = config.storage_backed
+    overhead = config.latency if storage else config.checkpoint_cost + config.latency
     a = np.asarray(durations, dtype=np.float64)
     if a.size == 0:
-        return 0.0
+        return 0.0, overhead
     top = float(a.max())
     if not np.isfinite(top) or float(a.min()) < 0.0:
         return None
-    if config.recover_on_start:
+    if config.recover_on_start and not storage:
         R = config.effective_recovery_cost
-        return top - R if R <= top else 0.0
-    return top
+        return (top - R if R <= top else 0.0), overhead
+    return top, overhead
 
 
 def _fill_lockstep(items: Sequence[BatchReplayItem]) -> None:
     """Solve every item's schedule to its covering prefix, one lock-step
     fill per fitted model (schedules sharing a distribution object).
 
-    A schedule is filled to its items' longest budget, with the cycle
-    overhead of its first item's config.
+    A schedule is filled to its items' longest budget at their smallest
+    cycle overhead, which covers every one of its items.
     """
     need: dict[int, tuple[CheckpointSchedule, float, float]] = {}
     for item in items:
         sched = item.schedule
         if not isinstance(sched, CheckpointSchedule):
             continue
-        budget = _max_budget(item.durations, item.config)
-        if budget is None:
+        fill = _fill_need(item.durations, item.config)
+        if fill is None:
             continue
+        budget, overhead = fill
         prev = need.get(id(sched))
-        if prev is None:
-            need[id(sched)] = (sched, budget, item.config.checkpoint_cost + item.config.latency)
-        elif budget > prev[1]:
-            need[id(sched)] = (sched, budget, prev[2])
+        if prev is not None:
+            budget, overhead = max(budget, prev[1]), min(overhead, prev[2])
+        need[id(sched)] = (sched, budget, overhead)
     models: dict[int, list[tuple[CheckpointSchedule, float, float]]] = {}
     for entry in need.values():
         models.setdefault(id(entry[0].distribution), []).append(entry)
@@ -498,16 +517,33 @@ def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
 
     Every schedule is first solved to exactly the prefix its replays
     read, in lock-step with the other schedules of its fitted model
-    (one batched solve per step).  Items sharing a schedule *and* a
-    config object (identity, not equality: the pool runner builds
+    (one batched solve per step).  Flat items sharing a schedule *and*
+    a config object (identity, not equality: the pool runner builds
     exactly one of each per sweep point) are then flattened into one
-    kernel invocation; results come back in input order.
+    kernel invocation.  Storage-backed items replay one by one through
+    the scalar store loop.  While a trace recorder is active, nothing
+    is filled ahead and every item replays through the scalar loop,
+    solving lazily, so the recorded events are exactly those of
+    :func:`~repro.simulation.trace_sim.simulate_trace` per item.
+    Results come back in input order.
     """
-    _fill_lockstep(items)
+    traced = _trace_active() is not None
+    if not traced:
+        _fill_lockstep(items)
     groups: dict[tuple[int, int], list[int]] = {}
-    for idx, item in enumerate(items):
-        groups.setdefault((id(item.schedule), id(item.config)), []).append(idx)
     out: list[SimulationResult | None] = [None] * len(items)
+    for idx, item in enumerate(items):
+        if traced or item.config.storage_backed:
+            # the scalar loop reads only work_interval/expected_efficiency
+            out[idx] = replay_schedule(
+                cast("CheckpointSchedule", item.schedule),
+                np.asarray(item.durations, dtype=np.float64).ravel(),
+                item.config,
+                machine_id=item.machine_id,
+                model_name=item.model_name,
+            )
+        else:
+            groups.setdefault((id(item.schedule), id(item.config)), []).append(idx)
     for idxs in groups.values():
         first = items[idxs[0]]
         chunk = replay_schedule_batch(

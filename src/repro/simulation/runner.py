@@ -35,7 +35,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.schedule import CheckpointSchedule
 from repro.core.solver_cache import active_cache as _active_cache
 from repro.distributions.base import AvailabilityDistribution
 from repro.distributions.fitting import MODEL_NAMES, fit_model
@@ -47,7 +46,7 @@ from repro.obs.tracing import (
 )
 from repro.simulation.accounting import SimulationConfig, SimulationResult
 from repro.simulation.batch_replay import BatchReplayItem, replay_batch
-from repro.simulation.trace_sim import simulate_trace, storage_schedule_costs
+from repro.simulation.trace_sim import model_schedule, simulate_trace
 from repro.traces.model import TRAINING_SET_SIZE, AvailabilityTrace, MachinePool
 
 __all__ = ["PoolSweep", "SweepSettings", "simulate_machine", "simulate_pool"]
@@ -78,13 +77,14 @@ class SweepSettings:
         Seed for the hyperexponential EM restarts (per-machine streams
         are derived from it).
     batch_replay:
-        Use the vectorized batch replay kernel
-        (:mod:`repro.simulation.batch_replay`) for the flat
-        (non-storage) path.  The kernel matches the scalar loop to
-        <= 1e-9 relative on every result field; set ``False`` to force
-        the scalar golden reference.  Storage-backed configs and runs
-        with an active trace recorder always take the scalar path,
-        which keeps per-event fidelity.
+        Replay each (machine, model) through
+        :func:`~repro.simulation.batch_replay.replay_batch`: its
+        schedules are solved in lock-step, flat replays take the
+        vectorized kernel (<= 1e-9 relative to the scalar loop on every
+        result field) and storage-backed ones the scalar store loop
+        (bitwise equal); with a trace recorder active every replay takes
+        the scalar loop.  ``False`` forces the scalar golden reference,
+        one :func:`simulate_trace` per sweep point.
     """
 
     checkpoint_costs: tuple[float, ...] = (50.0, 100.0, 200.0, 250.0, 400.0, 500.0, 750.0, 1000.0, 1250.0, 1500.0)
@@ -124,21 +124,6 @@ def _replay_durations(trace: AvailabilityTrace, settings: SweepSettings) -> np.n
     return trace.durations if settings.replay == "full" else test
 
 
-def _batch_eligible(settings: SweepSettings) -> bool:
-    """Whether the sweep's replays can take the vectorized kernel.
-
-    The batch kernel covers the flat path only and records no trace
-    events, so storage-backed configs and runs with an active recorder
-    fall back to the scalar golden reference.
-    """
-    base = settings.base_config
-    return (
-        settings.batch_replay
-        and not (base.storage is not None and base.checkpoint_size_mb > 0)
-        and _trace_active() is None
-    )
-
-
 def _replay_model(
     dist: AvailabilityDistribution,
     replay: np.ndarray,
@@ -147,21 +132,15 @@ def _replay_model(
     settings: SweepSettings,
 ) -> list[SimulationResult]:
     """Replay one fitted (machine, model) pair across the cost sweep."""
-    if _batch_eligible(settings):
+    if settings.batch_replay:
         # one schedule per sweep point, all replaying the same trace:
         # the kernel vectorizes each point's replay over its intervals
         items: list[BatchReplayItem] = []
         for cost in settings.checkpoint_costs:
             config = replace(settings.base_config, checkpoint_cost=float(cost))
-            schedule = CheckpointSchedule(
-                dist,
-                storage_schedule_costs(dist, config),
-                t_elapsed=0.0,
-                converge_rel_tol=config.schedule_converge_rel_tol,
-            )
             items.append(
                 BatchReplayItem(
-                    schedule=schedule,
+                    schedule=model_schedule(dist, config),
                     durations=replay,
                     config=config,
                     machine_id=machine_id,

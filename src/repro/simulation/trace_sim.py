@@ -41,7 +41,7 @@ from repro.simulation.accounting import SimulationConfig, SimulationResult
 from repro.storage.costs import effective_costs
 from repro.storage.store import CheckpointStore
 
-__all__ = ["simulate_trace", "replay_schedule", "storage_schedule_costs"]
+__all__ = ["model_schedule", "simulate_trace", "replay_schedule", "storage_schedule_costs"]
 
 
 def storage_schedule_costs(
@@ -59,7 +59,7 @@ def storage_schedule_costs(
         recovery=config.effective_recovery_cost,
         latency=config.latency,
     )
-    if config.storage is None or config.checkpoint_size_mb <= 0 or config.checkpoint_cost <= 0:
+    if not config.storage_backed or config.checkpoint_cost <= 0:
         return base
     probe = CheckpointSchedule(
         distribution,
@@ -72,6 +72,19 @@ def storage_schedule_costs(
         base,
         config.checkpoint_size_mb,
         typical_work=probe.work_interval(0),
+    )
+
+
+def model_schedule(
+    distribution: AvailabilityDistribution, config: SimulationConfig
+) -> CheckpointSchedule:
+    """The schedule :func:`simulate_trace` replays ``distribution`` under:
+    solved from uptime zero at the storage-adjusted costs."""
+    return CheckpointSchedule(
+        distribution,
+        storage_schedule_costs(distribution, config),
+        t_elapsed=0.0,
+        converge_rel_tol=config.schedule_converge_rel_tol,
     )
 
 
@@ -99,17 +112,8 @@ def simulate_trace(
     avail = np.asarray(durations, dtype=np.float64).ravel()
     if avail.size == 0:
         raise ValueError("cannot simulate over an empty trace")
-    if np.any(avail < 0) or not np.all(np.isfinite(avail)):
-        raise ValueError("availability durations must be non-negative and finite")
-
-    schedule = CheckpointSchedule(
-        distribution,
-        storage_schedule_costs(distribution, config),
-        t_elapsed=0.0,
-        converge_rel_tol=config.schedule_converge_rel_tol,
-    )
     return replay_schedule(
-        schedule,
+        model_schedule(distribution, config),
         avail,
         config,
         machine_id=machine_id,
@@ -151,7 +155,9 @@ def replay_schedule(
     loses the interval's work.  This matches the Markov model, whose
     retry horizon prices ``L + R + T`` (see ``docs/THEORY.md`` §8).
     """
-    if config.storage is not None and config.checkpoint_size_mb > 0:
+    if np.any(durations < 0) or not np.all(np.isfinite(durations)):
+        raise ValueError("availability durations must be non-negative and finite")
+    if config.storage_backed:
         return _replay_with_storage(
             schedule, durations, config, machine_id=machine_id, model_name=model_name
         )

@@ -68,6 +68,10 @@ class CheckpointStore:
         self._compressor = policy.make_compressor()
         self._delta_model = policy.make_delta_model()
         self._snapshots: list[Snapshot] = []
+        # the restore chain is _snapshots[_chain_start:]; _chain_mb is its
+        # wire size, summed left to right as commits append to it
+        self._chain_start = 0
+        self._chain_mb = 0.0
         self.n_committed = 0
         self.n_full = 0
         self.n_delta = 0
@@ -81,13 +85,10 @@ class CheckpointStore:
 
     def chain(self) -> tuple[Snapshot, ...]:
         """The restore chain: last full image plus all later deltas."""
-        for j in range(len(self._snapshots) - 1, -1, -1):
-            if self._snapshots[j].kind == "full":
-                return tuple(self._snapshots[j:])
-        return tuple(self._snapshots)
+        return tuple(self._snapshots[self._chain_start :])
 
     def chain_length(self) -> int:
-        return len(self.chain())
+        return len(self._snapshots) - self._chain_start
 
     def stored_mb(self) -> float:
         """Current server-side footprint in (compressed) megabytes."""
@@ -103,7 +104,7 @@ class CheckpointStore:
         if not self._snapshots:
             base = self.full_mb if full_mb is None else full_mb
             return self._compressor.compress(base).wire_mb
-        return sum(s.wire_mb for s in self.chain())
+        return self._chain_mb
 
     # -- the checkpoint protocol ----------------------------------------
     def next_kind(self) -> str:
@@ -151,7 +152,11 @@ class CheckpointStore:
         snap = Snapshot(
             index=self.n_committed, kind=plan.kind, wire_mb=plan.wire_mb, raw_mb=plan.raw_mb
         )
+        if plan.kind == "full":
+            self._chain_start = len(self._snapshots)
+            self._chain_mb = 0.0
         self._snapshots.append(snap)
+        self._chain_mb += plan.wire_mb
         self.n_committed += 1
         reg = _metrics()
         if plan.kind == "full":
@@ -185,12 +190,12 @@ class CheckpointStore:
 
     def _gc(self, *, ts: float | None = None) -> None:
         """Drop snapshots unreachable from any future restore."""
-        chain = self.chain()
-        n_drop = len(self._snapshots) - len(chain)
+        n_drop = self._chain_start
         if n_drop > 0:
             freed = sum(s.wire_mb for s in self._snapshots[:n_drop])
             self.gc_freed_mb += freed
-            self._snapshots = list(chain)
+            del self._snapshots[:n_drop]
+            self._chain_start = 0
             reg = _metrics()
             if reg is not None:
                 reg.inc("storage.gc.runs")

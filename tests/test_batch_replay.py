@@ -3,19 +3,28 @@
 ``replay_schedule`` is the golden reference; the batch kernel must match
 it on every ``SimulationResult`` field to <= 1e-9 relative (counts and
 strings exactly) across all partial-transfer policies, both
-``recover_on_start`` settings, and arbitrary random pools.
+``recover_on_start`` settings, and arbitrary random pools.  Storage-backed
+items through ``replay_batch`` must equal the per-item ``simulate_trace``
+results exactly.
 """
 
 import dataclasses
+import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.schedule as schedule_mod
 from repro.core import CheckpointCosts, CheckpointSchedule
+from repro.core.solver_cache import SolverCache, use_solver_cache
 from repro.distributions import Exponential, Hyperexponential, Weibull
+from repro.distributions.fitting import fit_model
+from repro.experiments.storage_study import DEFAULT_STORAGE_POLICIES, run_storage_study
 from repro.obs.metrics import use as use_metrics
+from repro.obs.tracing import TraceRecorder, use as use_trace
 from repro.simulation import (
     BatchReplayItem,
     SimulationConfig,
@@ -25,9 +34,13 @@ from repro.simulation import (
     replay_schedule,
     replay_schedule_batch,
     simulate_pool,
+    simulate_trace,
 )
+from repro.simulation.batch_replay import _fill_lockstep, _fill_need
+from repro.simulation.trace_sim import model_schedule
 from repro.storage.policy import StoragePolicy
-from repro.traces.model import AvailabilityTrace
+from repro.traces.model import TRAINING_SET_SIZE, AvailabilityTrace
+from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
 
 REL_BUDGET = 1e-9
 
@@ -356,16 +369,27 @@ class TestRunnerIntegration:
             for i in range(3)
         ]
 
-    def test_batch_sweep_matches_scalar_sweep(self):
-        base = dict(
-            checkpoint_costs=(100.0, 500.0),
-            model_names=("exponential", "weibull"),
-        )
+    def _sweeps(self, **base):
+        base.update(checkpoint_costs=(100.0, 500.0), model_names=("exponential", "weibull"))
         fast = simulate_pool(self._pool(), SweepSettings(batch_replay=True, **base))
         slow = simulate_pool(self._pool(), SweepSettings(batch_replay=False, **base))
         assert len(fast.results) == len(slow.results)
-        for f, s in zip(fast.results, slow.results, strict=True):
+        return zip(fast.results, slow.results, strict=True)
+
+    def test_batch_sweep_matches_scalar_sweep(self):
+        for f, s in self._sweeps():
             assert_results_match(f, s)
+
+    def test_storage_backed_sweep_matches_scalar_sweep(self):
+        # storage configs take the lock-step fill and the scalar store
+        # loop: bitwise the per-item simulate_trace results
+        base_config = SimulationConfig(
+            checkpoint_cost=0.0,
+            checkpoint_size_mb=500.0,
+            storage=StoragePolicy(delta_fraction=0.1, full_every_k=10),
+        )
+        for f, s in self._sweeps(base_config=base_config):
+            assert f == s
 
     def test_batch_sweep_records_counters(self):
         with use_metrics() as reg:
@@ -439,9 +463,7 @@ class TestExactCoverage:
         assert counters["schedule.solves"] <= sum(lengths)
 
     def test_sweep_base_input_solves_only_covering_intervals(self):
-        from repro.core.solver_cache import SolverCache, use_solver_cache
         from repro.experiments.study import run_simulation_study
-        from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
 
         pool = generate_condor_pool(
             SyntheticPoolConfig(n_machines=4, n_observations=125), np.random.default_rng(2005)
@@ -455,3 +477,146 @@ class TestExactCoverage:
         assert snapshot["counters"]["schedule.solves"] == 1373
         assert snapshot["histograms"]["sim.batch.table_cycles"]["count"] == 160
         assert snapshot["histograms"]["sim.batch.table_cycles"]["sum"] == 3619
+
+
+def _storage_pool():
+    return generate_condor_pool(
+        SyntheticPoolConfig(n_machines=2, n_observations=60), np.random.default_rng(2005)
+    )
+
+
+def _per_item_study(pool, policies):
+    """The storage study replayed the per-item way: one
+    :func:`simulate_trace` per (machine, model, policy), with the study's
+    fit protocol."""
+    results = {}
+    for trace in pool:
+        train, _test = trace.split(TRAINING_SET_SIZE)
+        key = zlib.crc32(trace.machine_id.encode("utf-8"))
+        rng = np.random.default_rng(np.random.SeedSequence([424242, key]))
+        for model in ("exponential", "weibull", "hyperexp2"):
+            dist = fit_model(model, train, rng=rng)
+            for name, policy in policies:
+                config = SimulationConfig(
+                    checkpoint_cost=110.0, checkpoint_size_mb=500.0, storage=policy
+                )
+                res = simulate_trace(
+                    dist, trace.durations, config, machine_id=trace.machine_id, model_name=model
+                )
+                results.setdefault((model, name), []).append(res)
+    return results
+
+
+#: every default study policy at the Table 4 campus point, plus one
+#: storage config with a nonzero commit latency
+STORAGE_CONFIGS = [
+    (name, SimulationConfig(checkpoint_cost=110.0, checkpoint_size_mb=500.0, storage=policy))
+    for name, policy in DEFAULT_STORAGE_POLICIES
+] + [
+    (
+        "inc d=0.10 full@10 L=40",
+        SimulationConfig(
+            checkpoint_cost=110.0,
+            checkpoint_size_mb=500.0,
+            latency=40.0,
+            storage=StoragePolicy(delta_fraction=0.10, full_every_k=10),
+        ),
+    )
+]
+
+
+class TestStorageItems:
+    """Storage-backed items through replay_batch: lock-step filled, then
+    replayed by the scalar store loop -- bitwise the per-item
+    ``simulate_trace`` results, with no solve left for the replay."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        rng = np.random.default_rng(5)
+        out = []
+        for trace in _storage_pool():
+            train = trace.durations[:25]
+            for model in ("exponential", "weibull", "hyperexp2"):
+                out.append((trace, model, fit_model(model, train, rng=rng)))
+        return out
+
+    @staticmethod
+    def _items(fitted, configs):
+        return [
+            BatchReplayItem(
+                schedule=model_schedule(dist, cfg),
+                durations=trace.durations,
+                config=cfg,
+                machine_id=trace.machine_id,
+                model_name=model,
+            )
+            for trace, model, dist in fitted
+            for cfg in configs
+        ]
+
+    @pytest.mark.parametrize(("name", "cfg"), STORAGE_CONFIGS, ids=[n for n, _ in STORAGE_CONFIGS])
+    def test_replay_batch_matches_simulate_trace(self, fitted, name, cfg):
+        items = self._items(fitted, [cfg])
+        for res, (trace, model, dist) in zip(replay_batch(items), fitted, strict=True):
+            want = simulate_trace(dist, trace.durations, cfg, machine_id=trace.machine_id, model_name=model)
+            if cfg.storage is None:
+                assert_results_match(res, want)
+            else:
+                assert res == want, (name, model)
+
+    def test_fill_need_per_item_kind(self):
+        durations = np.array([30.0, 900.0])
+        # storage: the longest occupancy, at the commit latency alone
+        assert _fill_need(durations, STORAGE_CONFIGS[-1][1]) == (900.0, 40.0)
+        # flat: the longest post-recovery budget, at C + L
+        flat = SimulationConfig(checkpoint_cost=110.0, latency=40.0)
+        assert _fill_need(durations, flat) == (790.0, 150.0)
+
+    def test_fill_leaves_no_solve_for_the_replay(self, fitted):
+        items = self._items(fitted, [cfg for _, cfg in STORAGE_CONFIGS])
+        with use_metrics() as reg:
+            _fill_lockstep(items)
+            solves = reg.as_dict()["counters"]["schedule.solves"]
+            lengths = [len(item.schedule._intervals) for item in items]
+            replay_batch(items)
+            assert reg.as_dict()["counters"]["schedule.solves"] == solves
+        assert [len(item.schedule._intervals) for item in items] == lengths
+
+    def test_study_batches_its_solves(self, monkeypatch):
+        calls = [0]
+        solve = schedule_mod.optimize_intervals_batch
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(schedule_mod, "optimize_intervals_batch", counting)
+        pool = _storage_pool()
+        with use_solver_cache(SolverCache()):
+            study = run_storage_study(pool)
+        batched, calls[0] = calls[0], 0
+        with use_solver_cache(SolverCache()):
+            per_item = _per_item_study(pool, DEFAULT_STORAGE_POLICIES)
+        assert batched < calls[0]
+        assert set(study.results) == set(per_item)
+        for (model, name), rows in per_item.items():
+            for got, want in zip(study.results[(model, name)], rows, strict=True):
+                if name == "full (paper)":
+                    assert_results_match(got, want)
+                else:
+                    assert got == want, (model, name)
+
+    def test_traced_study_records_the_per_item_events(self):
+        def kinds(recorder):
+            return Counter(
+                (ev["cat"], ev["name"], "span" if "dur" in ev else "point")
+                for ev in recorder.events()
+            )
+
+        pool = _storage_pool()
+        with use_solver_cache(SolverCache()), use_trace(TraceRecorder(sampling={})) as study_rec:
+            run_storage_study(pool)
+        with use_solver_cache(SolverCache()), use_trace(TraceRecorder(sampling={})) as item_rec:
+            _per_item_study(pool, DEFAULT_STORAGE_POLICIES)
+        assert study_rec.n_dropped == item_rec.n_dropped == 0
+        assert kinds(study_rec) == kinds(item_rec)

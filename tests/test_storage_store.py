@@ -1,8 +1,10 @@
 """Tests for the server-side checkpoint store: chains, retention, GC."""
 
+import numpy as np
 import pytest
 
 from repro.storage import CheckpointStore, StoragePolicy
+from repro.storage.store import PlannedCheckpoint
 
 
 def drive(store, n, work=600.0):
@@ -132,3 +134,76 @@ class TestPlanCommitSeparation:
     def test_negative_image_rejected(self):
         with pytest.raises(ValueError):
             CheckpointStore(StoragePolicy(), -500.0)
+
+
+class ScanStore(CheckpointStore):
+    """The oracle: the store with its restore chain found by a backward
+    scan for the last full image on every query, and GC rebuilding the
+    snapshot list from that chain."""
+
+    def chain(self):
+        for j in range(len(self._snapshots) - 1, -1, -1):
+            if self._snapshots[j].kind == "full":
+                return tuple(self._snapshots[j:])
+        return tuple(self._snapshots)
+
+    def chain_length(self):
+        return len(self.chain())
+
+    def restore_chain_mb(self, full_mb=None):
+        if not self._snapshots:
+            return super().restore_chain_mb(full_mb)
+        return sum(s.wire_mb for s in self.chain())
+
+    def _gc(self, *, ts=None):
+        chain = self.chain()
+        n_drop = len(self._snapshots) - len(chain)
+        if n_drop > 0:
+            self.gc_freed_mb += sum(s.wire_mb for s in self._snapshots[:n_drop])
+            self._snapshots = list(chain)
+
+
+ORACLE_POLICIES = [
+    StoragePolicy(delta_model="fixed", delta_fraction=0.10, full_every_k=10),
+    StoragePolicy(delta_model="dirty-page", dirty_tau=1800.0, full_every_k=7),
+    StoragePolicy(delta_fraction=0.10, full_every_k=50, keep_last_k=5),
+    StoragePolicy(
+        delta_fraction=0.10, full_every_k=10, compression_ratio=2.0, compression_mb_per_s=200.0
+    ),
+    StoragePolicy.full(),
+]
+
+
+class TestChainBookkeepingOracle:
+    """Random commit sequences: the tracked chain start and running chain
+    size agree exactly (``==``) with the backward-scan oracle."""
+
+    @pytest.mark.parametrize("policy", ORACLE_POLICIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_commit_sequences_match_scan(self, policy, seed):
+        rng = np.random.default_rng(seed)
+        fast, oracle = CheckpointStore(policy, 500.0), ScanStore(policy, 500.0)
+        for _ in range(400):
+            roll = rng.random()
+            if roll < 0.05:
+                # an arbitrary plan, of either kind, even as the first
+                # commit (a delta with no full image before it)
+                kind = "full" if rng.random() < 0.5 else "delta"
+                wire = float(rng.uniform(0.0, 500.0))
+                plan = PlannedCheckpoint(kind=kind, raw_mb=wire, wire_mb=wire, cpu_seconds=0.0)
+            else:
+                work = float(rng.exponential(900.0))
+                full_mb = float(rng.uniform(100.0, 900.0)) if rng.random() < 0.2 else None
+                plan = fast.plan_checkpoint(work, full_mb=full_mb)
+                assert plan == oracle.plan_checkpoint(work, full_mb=full_mb)
+            if roll < 0.85:  # otherwise evicted: planned, never committed
+                assert fast.commit(plan) == oracle.commit(plan)
+            assert fast.chain() == oracle.chain()
+            assert fast.chain_length() == oracle.chain_length()
+            assert fast.snapshots == oracle.snapshots
+            assert fast.restore_chain_mb() == oracle.restore_chain_mb()
+            assert fast.stored_mb() == oracle.stored_mb()
+            assert fast.gc_freed_mb == oracle.gc_freed_mb
+            assert fast.max_chain_len == oracle.max_chain_len
+            assert (fast.n_full, fast.n_delta) == (oracle.n_full, oracle.n_delta)
+            assert fast.next_kind() == oracle.next_kind()
