@@ -72,6 +72,15 @@ def test_bench_hyperexp_em(benchmark):
     assert result.distribution.k <= 2
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_bench_hyperexp_em_study_regime(benchmark, k):
+    """The fits the gang, sweep and storage studies make: 25
+    observations, the default 2 restarts, so 3 lanes run in lock-step."""
+    data = HYPER.sample(25, np.random.default_rng(1))
+    result = benchmark(lambda: fit_hyperexponential(data, k=k))
+    assert result.distribution.k <= k
+
+
 def test_bench_trace_replay(benchmark):
     rng = np.random.default_rng(2)
     durations = WEIBULL.sample(100, rng)
