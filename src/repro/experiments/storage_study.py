@@ -16,7 +16,7 @@ aggregate means across machines.  Each (machine, model) builds one
 schedule per policy and replays them all with one
 :func:`~repro.simulation.batch_replay.replay_batch` call, which solves
 the schedules in lock-step (one batched solve per step) before the
-store loop walks them; every result is bitwise the one
+table-driven storage walk replays them; every result is bitwise the one
 :func:`~repro.simulation.trace_sim.simulate_trace` gives.  Because
 every policy replays the same traces under the same fitted model, the
 megabyte columns are paired -- differences are pure storage effects.

@@ -31,13 +31,15 @@ batched array arithmetic with no per-event Python:
 
 The kernel covers the flat (non-storage) path only and emits no trace
 events.  :func:`replay_batch` is the one entry point for every kind of
-item: flat items go to the kernel, storage-backed items to the scalar
-store loop of :func:`~repro.simulation.trace_sim.replay_schedule` (each
-checkpoint's size depends on the store's state), and so does every
-item while a :class:`~repro.obs.tracing.TraceRecorder` is active, which
-keeps recorded spans per event.  Storage items are lock-step filled
-first like flat ones, so their store loop reads solved intervals only.
-The scalar loop is also the golden equivalence reference
+item: flat items go to the kernel, storage-backed items to the
+table-driven storage walk of
+:func:`~repro.simulation.trace_sim.replay_schedule` (each checkpoint's
+size depends on its place in the store's commit cadence), and flat
+items go to the scalar loop too while a
+:class:`~repro.obs.tracing.TraceRecorder` is active, which keeps
+recorded spans per event.  Storage items are
+lock-step filled first like flat ones, so their walk reads solved
+intervals only.  The scalar loop is also the golden equivalence reference
 (``tests/test_batch_replay.py`` gates every ``SimulationResult`` field
 to <= 1e-9 relative); ``benchmarks/test_bench_replay.py`` holds the
 speedup floor.
@@ -465,7 +467,7 @@ def _fill_need(durations: Any, config: SimulationConfig) -> tuple[float, float] 
     storage item's budget is its longest occupancy, with no ``R``
     subtracted (a recovery prices a variable restore chain, at least 0
     seconds), at overhead ``L``: each store cycle costs at least
-    ``T + L``, so the store loop reads no interval past this cover.
+    ``T + L``, so the storage walk reads no interval past this cover.
     """
     storage = config.storage_backed
     overhead = config.latency if storage else config.checkpoint_cost + config.latency
@@ -521,9 +523,10 @@ def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     a config object (identity, not equality: the pool runner builds
     exactly one of each per sweep point) are then flattened into one
     kernel invocation.  Storage-backed items replay one by one through
-    the scalar store loop.  While a trace recorder is active, nothing
-    is filled ahead and every item replays through the scalar loop,
-    solving lazily, so the recorded events are exactly those of
+    the table-driven storage walk.  While a trace recorder is active,
+    nothing is filled ahead and every item replays one by one through
+    :func:`~repro.simulation.trace_sim.replay_schedule`, solving
+    lazily, so the recorded events are exactly those of
     :func:`~repro.simulation.trace_sim.simulate_trace` per item.
     Results come back in input order.
     """
@@ -534,7 +537,8 @@ def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     out: list[SimulationResult | None] = [None] * len(items)
     for idx, item in enumerate(items):
         if traced or item.config.storage_backed:
-            # the scalar loop reads only work_interval/expected_efficiency
+            # the scalar loop and the storage walk read only
+            # work_interval/expected_efficiency
             out[idx] = replay_schedule(
                 cast("CheckpointSchedule", item.schedule),
                 np.asarray(item.durations, dtype=np.float64).ravel(),

@@ -81,9 +81,9 @@ class SweepSettings:
         :func:`~repro.simulation.batch_replay.replay_batch`: its
         schedules are solved in lock-step, flat replays take the
         vectorized kernel (<= 1e-9 relative to the scalar loop on every
-        result field) and storage-backed ones the scalar store loop
-        (bitwise equal); with a trace recorder active every replay takes
-        the scalar loop.  ``False`` forces the scalar golden reference,
+        result field) and storage-backed ones the table-driven storage
+        walk (bitwise equal); with a trace recorder active every flat
+        replay takes the scalar loop.  ``False`` forces the scalar golden reference,
         one :func:`simulate_trace` per sweep point.
     """
 

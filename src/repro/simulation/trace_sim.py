@@ -39,7 +39,7 @@ from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 from repro.simulation.accounting import SimulationConfig, SimulationResult
 from repro.storage.costs import effective_costs
-from repro.storage.store import CheckpointStore
+from repro.storage.store import CheckpointStore, PlannedCheckpoint, record_commit
 
 __all__ = ["model_schedule", "simulate_trace", "replay_schedule", "storage_schedule_costs"]
 
@@ -305,7 +305,7 @@ def _replay_with_storage(
     machine_id: str,
     model_name: str,
 ) -> SimulationResult:
-    """The storage-aware replay loop.
+    """The storage-aware replay: one table-driven walk over the trace.
 
     The store persists across occupancies (it lives at the checkpoint
     manager, which does not fail when the harvested machine is
@@ -314,16 +314,41 @@ def _replay_with_storage(
     "``checkpoint_cost`` seconds per full uncompressed image"; with
     ``checkpoint_cost == 0`` transfers are instantaneous and only
     compression CPU (if any) takes time.
+
+    No snapshot is committed to a :class:`CheckpointStore`.  Each
+    commit's kind is the policy's cadence at the commit counter
+    (:meth:`~repro.storage.policy.StoragePolicy.commit_kind`), and its
+    size a plan the store sizes once per kind and work-interval index:
+    one full plan, one delta plan per index.  So the walk carries only
+    the commit count and the restore chain's megabytes; the snapshot
+    counts and the final footprint follow from the cadence.  Every
+    float is formed in the order a store-driven loop forms it, so
+    results, counters and trace events are bitwise that loop's.
     """
     C = config.checkpoint_cost
     L = config.latency
     size = config.checkpoint_size_mb
     policy = config.partial_transfer_policy
     store = CheckpointStore(config.storage, size)
+    cadence = store.policy
     bw = size / C if C > 0 else math.inf
     reg = _metrics()
     tr = _trace_active()
     t_wall = time.perf_counter() if reg is not None else 0.0
+
+    def sized(T: float, kind: str) -> tuple[PlannedCheckpoint, float, float]:
+        """A plan with its wire seconds and whole checkpoint time."""
+        plan = store.plan_checkpoint(T, kind=kind)
+        wire_time = plan.wire_mb / bw if math.isfinite(bw) else 0.0
+        # commit latency L is billed after the CPU + wire phases,
+        # mirroring the non-storage path (see replay_schedule)
+        return plan, wire_time, plan.cpu_seconds + wire_time + L
+
+    full = sized(0.0, "full")
+    boot_mb = store.restore_chain_mb()
+    # per work-interval index: T_i and its delta plan, grown on demand
+    Ts: list[float] = []
+    deltas: list[tuple[PlannedCheckpoint, float, float]] = []
 
     useful = 0.0
     lost = 0.0
@@ -331,29 +356,32 @@ def _replay_with_storage(
     rec_overhead = 0.0
     mb_ckpt = 0.0
     mb_rec = 0.0
-    n_ckpt_done = 0
-    n_ckpt_try = 0
+    n_aborted = 0  # checkpoint attempts evicted before their commit
     n_rec_done = 0
     n_rec_try = 0
+    c = 0  # snapshots committed so far
+    chain_mb = 0.0  # the restore chain's megabytes (0 before any commit)
+    gc_freed = 0.0
+    full_next = True  # the cadence's kind for commit c
     base = 0.0  # machine-timeline offset of the current interval's start
 
     for a in durations:
         t = 0.0
         # ---- recovery phase: fetch the restore chain ----------------
         if config.recover_on_start:
-            chain_mb = store.restore_chain_mb()
-            R_i = chain_mb / bw if math.isfinite(bw) else 0.0
+            rec_mb = chain_mb if c else boot_mb
+            R_i = rec_mb / bw if math.isfinite(bw) else 0.0
             n_rec_try += 1
             if tr is not None:
                 tr.point(
                     "storage", "restore_chain", ts=base, track=machine_id,
-                    args={"mb": chain_mb, "chain_len": store.chain_length()},
+                    args={"mb": rec_mb, "chain_len": cadence.chain_length(c)},
                 )
             if t + R_i <= a:
                 t += R_i
                 rec_overhead += R_i
                 n_rec_done += 1
-                billed = chain_mb if config.count_recovery_bandwidth else 0.0
+                billed = rec_mb if config.count_recovery_bandwidth else 0.0
                 mb_rec += billed
                 if tr is not None:
                     tr.span("replay", "recovery", base, R_i, track=machine_id, args={"committed": True})
@@ -362,7 +390,7 @@ def _replay_with_storage(
                 elapsed = a - t
                 rec_overhead += elapsed
                 billed = (
-                    _partial_mb(chain_mb, elapsed, R_i, policy)
+                    _partial_mb(rec_mb, elapsed, R_i, policy)
                     if config.count_recovery_bandwidth
                     else 0.0
                 )
@@ -376,18 +404,18 @@ def _replay_with_storage(
         # ---- work / checkpoint cycles -------------------------------
         i = 0
         while t < a:
-            T = schedule.work_interval(i)
+            if i == len(Ts):
+                # a new index: solved lazily unless a fill already did
+                Ts.append(schedule.work_interval(i))
+                deltas.append(sized(Ts[i], "delta"))
+            T = Ts[i]
             if t + T > a:
                 lost += a - t  # eviction mid-work
                 if tr is not None:
                     tr.span("replay", "work", base + t, a - t, track=machine_id, args={"committed": False})
                 t = a
                 break
-            plan = store.plan_checkpoint(T)
-            wire_time = plan.wire_mb / bw if math.isfinite(bw) else 0.0
-            # commit latency L is billed after the CPU + wire phases,
-            # mirroring the non-storage path (see replay_schedule)
-            ckpt_time = plan.cpu_seconds + wire_time + L
+            plan, wire_time, ckpt_time = full if full_next else deltas[i]
             if T + ckpt_time <= 0.0:
                 # a zero-length cycle would commit without advancing the
                 # clock: the replay would spin forever on this interval
@@ -399,8 +427,6 @@ def _replay_with_storage(
             if t + T + ckpt_time <= a:
                 useful += T
                 ckpt_overhead += ckpt_time
-                n_ckpt_try += 1
-                n_ckpt_done += 1
                 mb_ckpt += plan.wire_mb
                 if tr is not None:
                     tr.span("replay", "work", base + t, T, track=machine_id, args={"committed": True})
@@ -414,10 +440,23 @@ def _replay_with_storage(
                         "link", "transfer", base + t + T + plan.cpu_seconds, wire_time,
                         track=machine_id, args={"mb": plan.wire_mb, "phase": "checkpoint"},
                     )
-                # store events (commit / GC) are stamped explicitly at
-                # the cycle end; the recorder's instrumentation clock is
-                # not ours to mutate (the DES engine owns it)
-                store.commit(plan, ts=base + t + T + ckpt_time)
+                if reg is not None or tr is not None:
+                    # store events are stamped explicitly at the cycle
+                    # end; the recorder's instrumentation clock is not
+                    # ours to mutate (the DES engine owns it)
+                    record_commit(
+                        plan.kind, plan.wire_mb, plan.raw_mb, c,
+                        ts=base + t + T + ckpt_time,
+                        dropped=cadence.chain_length(c) if full_next else 0,
+                        freed_mb=chain_mb,
+                    )
+                # commit: a full image retires the old chain to GC
+                if full_next:
+                    gc_freed += chain_mb
+                    chain_mb = 0.0
+                chain_mb += plan.wire_mb
+                c += 1
+                full_next = cadence.commit_kind(c) == "full"
                 t += T + ckpt_time
                 i += 1
             elif t + T >= a:
@@ -436,7 +475,7 @@ def _replay_with_storage(
                 elapsed = a - (t + T)
                 lost += T
                 ckpt_overhead += elapsed
-                n_ckpt_try += 1
+                n_aborted += 1
                 # compression runs before bytes flow: only time past the
                 # CPU phase moved data; an eviction inside the latency
                 # window leaves the full payload on the wire
@@ -470,14 +509,16 @@ def _replay_with_storage(
             tr.point("replay", "failure", ts=base + a, track=machine_id)
         base += a
 
+    n_ckpt_try = c + n_aborted
     if reg is not None:
         reg.inc("sim.replays")
         reg.inc("sim.machine_seconds", float(durations.sum()))
         reg.inc("sim.checkpoints.attempted", n_ckpt_try)
-        reg.inc("sim.checkpoints.completed", n_ckpt_done)
+        reg.inc("sim.checkpoints.completed", c)
         reg.inc("link.transferred_mb", mb_ckpt + mb_rec)
         reg.observe("sim.replay_seconds", time.perf_counter() - t_wall)
 
+    n_full = cadence.count_fulls(c)
     return SimulationResult(
         machine_id=machine_id,
         model_name=model_name,
@@ -489,16 +530,16 @@ def _replay_with_storage(
         recovery_overhead=rec_overhead,
         n_intervals=int(durations.size),
         n_failures=int(durations.size),
-        n_checkpoints_completed=n_ckpt_done,
+        n_checkpoints_completed=c,
         n_checkpoints_attempted=n_ckpt_try,
         n_recoveries_completed=n_rec_done,
         n_recoveries_attempted=n_rec_try,
         mb_checkpoint=mb_ckpt,
         mb_recovery=mb_rec,
         predicted_efficiency=schedule.expected_efficiency(0),
-        n_full_checkpoints=store.n_full,
-        n_delta_checkpoints=store.n_delta,
-        max_restore_chain_len=store.max_chain_len,
-        mb_stored_final=store.stored_mb(),
-        mb_gc_freed=store.gc_freed_mb,
+        n_full_checkpoints=n_full,
+        n_delta_checkpoints=c - n_full,
+        max_restore_chain_len=cadence.max_chain_length(c),
+        mb_stored_final=chain_mb,
+        mb_gc_freed=gc_freed,
     )

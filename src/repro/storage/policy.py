@@ -22,6 +22,7 @@ policy itself stays pure data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.storage.compression import Compressor
 from repro.storage.delta import (
@@ -128,6 +129,42 @@ class StoragePolicy:
         if self.keep_last_k is not None:
             k = min(k, self.keep_last_k)
         return max(k, 1)
+
+    # -- the commit cadence ----------------------------------------------
+    @cached_property
+    def _cadence(self) -> tuple[int, int]:
+        """``(period, step)`` of the commit cadence.
+
+        A store that commits the checkpoints it plans writes a full
+        image at every multiple of the period (``full_every_k`` commits;
+        1 in ``"full"`` mode) and, within a period, at every multiple of
+        the step (:meth:`cycle_length`: the ``keep_last_k`` promotion).
+        So the kind of each commit, and the restore chain it leaves, are
+        pure functions of the commit counter.
+        """
+        return (1 if self.mode == "full" else self.full_every_k), self.cycle_length()
+
+    def commit_kind(self, n_committed: int) -> str:
+        """The kind of the snapshot committed after ``n_committed`` others."""
+        period, step = self._cadence
+        return "full" if n_committed % period % step == 0 else "delta"
+
+    def chain_length(self, n_committed: int) -> int:
+        """Restore-chain length after ``n_committed`` commits."""
+        if n_committed == 0:
+            return 0
+        period, step = self._cadence
+        return (n_committed - 1) % period % step + 1
+
+    def count_fulls(self, n_committed: int) -> int:
+        """Full images among the first ``n_committed`` commits."""
+        period, step = self._cadence
+        periods, rest = divmod(n_committed, period)
+        return periods * -(-period // step) + -(-rest // step)
+
+    def max_chain_length(self, n_committed: int) -> int:
+        """Longest restore chain over the first ``n_committed`` commits."""
+        return min(n_committed, self._cadence[1])
 
     def make_delta_model(self) -> DeltaSizeModel:
         if self.mode == "full":

@@ -19,11 +19,14 @@ Retention runs at commit time:
   reclaim the old one.  The chain length therefore never exceeds
   ``keep_last_k``.
 
-The store is deliberately simulator-agnostic: the trace simulator and
-the live (DES) test process both drive it through
-:meth:`plan_checkpoint` / :meth:`commit`, keeping "what would this
-checkpoint cost" separate from "it actually completed" so evicted
-transfers never corrupt the stored state.
+Both rules follow the policy's commit cadence
+(:meth:`~repro.storage.policy.StoragePolicy.commit_kind`), a function
+of the commit counter alone.  The live (DES) test process drives the
+store through :meth:`plan_checkpoint` / :meth:`commit`, keeping "what
+would this checkpoint cost" separate from "it actually completed" so
+evicted transfers never corrupt the stored state.  The trace replay
+only sizes plans here and follows the cadence itself, emitting the
+same commit events through :func:`record_commit`.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 from repro.storage.policy import StoragePolicy
 
-__all__ = ["CheckpointStore", "PlannedCheckpoint", "Snapshot"]
+__all__ = ["CheckpointStore", "PlannedCheckpoint", "Snapshot", "record_commit"]
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class CheckpointStore:
 
     def stored_mb(self) -> float:
         """Current server-side footprint in (compressed) megabytes."""
-        return sum(s.wire_mb for s in self._snapshots)
+        return sum((s.wire_mb for s in self._snapshots), 0.0)
 
     def restore_chain_mb(self, full_mb: float | None = None) -> float:
         """Megabytes a recovery must fetch right now.
@@ -108,28 +111,31 @@ class CheckpointStore:
 
     # -- the checkpoint protocol ----------------------------------------
     def next_kind(self) -> str:
-        """Whether the next snapshot must be a full image or may be a delta."""
-        if not self._snapshots or self.policy.mode == "full":
-            return "full"
-        if self.n_committed % self.policy.full_every_k == 0:
-            return "full"
-        k = self.policy.keep_last_k
-        if k is not None and self.chain_length() >= k:
-            return "full"  # a delta would push the retained chain past k
-        return "delta"
+        """Whether the next snapshot must be a full image or may be a delta
+        (the policy's cadence at this store's commit count)."""
+        return self.policy.commit_kind(self.n_committed)
 
     def plan_checkpoint(
-        self, work_since_last: float, *, full_mb: float | None = None
+        self,
+        work_since_last: float,
+        *,
+        full_mb: float | None = None,
+        kind: str | None = None,
     ) -> PlannedCheckpoint:
         """Size the next checkpoint without committing it.
 
         ``full_mb`` optionally overrides the store's image size (the
         live path feeds the workload size model's current state size).
+        ``kind`` sizes a snapshot of that kind instead of
+        :meth:`next_kind`'s (the trace replay tabulates both kinds).
         """
         if work_since_last < 0:
             raise ValueError(f"work since last must be >= 0, got {work_since_last}")
+        if kind is None:
+            kind = self.next_kind()
+        elif kind not in ("full", "delta"):
+            raise ValueError(f"unknown snapshot kind: {kind!r}")
         full = self.full_mb if full_mb is None else float(full_mb)
-        kind = self.next_kind()
         if kind == "full":
             raw = full
         else:
@@ -152,59 +158,68 @@ class CheckpointStore:
         snap = Snapshot(
             index=self.n_committed, kind=plan.kind, wire_mb=plan.wire_mb, raw_mb=plan.raw_mb
         )
+        dropped, freed = 0, 0.0
         if plan.kind == "full":
+            # every snapshot on disk is the old restore chain, which the
+            # new full image makes unreachable
+            dropped, freed = len(self._snapshots), self._chain_mb
             self._chain_start = len(self._snapshots)
             self._chain_mb = 0.0
+            self.n_full += 1
+        else:
+            self.n_delta += 1
         self._snapshots.append(snap)
         self._chain_mb += plan.wire_mb
         self.n_committed += 1
-        reg = _metrics()
-        if plan.kind == "full":
-            self.n_full += 1
-            if reg is not None:
-                reg.inc("storage.commits.full")
-        else:
-            self.n_delta += 1
-            if reg is not None:
-                reg.inc("storage.commits.delta")
-        if reg is not None:
-            reg.inc("storage.wire_mb", plan.wire_mb)
-        tr = _trace_active()
-        if tr is not None:
-            # the store has no clock of its own: events are stamped with
-            # the caller-supplied ``ts``, falling back to the recorder's
-            # instrumentation clock for drivers that keep it fresh
-            tr.point(
-                "storage", "commit",
-                ts=ts,
-                args={
-                    "kind": plan.kind,
-                    "wire_mb": plan.wire_mb,
-                    "raw_mb": plan.raw_mb,
-                    "index": snap.index,
-                },
-            )
-        self._gc(ts=ts)
+        self._gc()
+        record_commit(
+            plan.kind, plan.wire_mb, plan.raw_mb, snap.index,
+            ts=ts, dropped=dropped, freed_mb=freed,
+        )
         self.max_chain_len = max(self.max_chain_len, self.chain_length())
         return snap
 
-    def _gc(self, *, ts: float | None = None) -> None:
+    def _gc(self) -> None:
         """Drop snapshots unreachable from any future restore."""
         n_drop = self._chain_start
         if n_drop > 0:
-            freed = sum(s.wire_mb for s in self._snapshots[:n_drop])
-            self.gc_freed_mb += freed
+            self.gc_freed_mb += sum(s.wire_mb for s in self._snapshots[:n_drop])
             del self._snapshots[:n_drop]
             self._chain_start = 0
-            reg = _metrics()
-            if reg is not None:
-                reg.inc("storage.gc.runs")
-                reg.inc("storage.gc.snapshots_dropped", n_drop)
-                reg.inc("storage.gc.freed_mb", freed)
-            tr = _trace_active()
-            if tr is not None:
-                tr.point(
-                    "storage", "gc",
-                    ts=ts,
-                    args={"dropped": n_drop, "freed_mb": freed},
-                )
+
+
+def record_commit(
+    kind: str,
+    wire_mb: float,
+    raw_mb: float,
+    index: int,
+    *,
+    ts: float | None,
+    dropped: int,
+    freed_mb: float,
+) -> None:
+    """Count and trace one committed snapshot and the GC it triggered.
+
+    ``dropped`` snapshots (``freed_mb`` megabytes) were collected; 0
+    means no GC ran.  The store has no clock of its own: events are
+    stamped with the caller-supplied ``ts``, falling back to the
+    recorder's instrumentation clock for drivers that keep it fresh.
+    """
+    reg = _metrics()
+    tr = _trace_active()
+    if reg is not None:
+        reg.inc("storage.commits.full" if kind == "full" else "storage.commits.delta")
+        reg.inc("storage.wire_mb", wire_mb)
+    if tr is not None:
+        tr.point(
+            "storage", "commit",
+            ts=ts,
+            args={"kind": kind, "wire_mb": wire_mb, "raw_mb": raw_mb, "index": index},
+        )
+    if dropped:
+        if reg is not None:
+            reg.inc("storage.gc.runs")
+            reg.inc("storage.gc.snapshots_dropped", dropped)
+            reg.inc("storage.gc.freed_mb", freed_mb)
+        if tr is not None:
+            tr.point("storage", "gc", ts=ts, args={"dropped": dropped, "freed_mb": freed_mb})
