@@ -4,8 +4,8 @@ The policy-grid experiments replay availability pools far beyond what
 the per-event scalar loop can sustain -- the target scale is a 100k
 machine synthetic pool (~2M availability segments).  This bench times
 :func:`repro.simulation.batch_replay.replay_flat_pool` (the
-struct-of-arrays core) on the full pool against the scalar golden
-reference :func:`~repro.simulation.trace_sim.replay_schedule`, timed on
+struct-of-arrays core) on the full pool against the per-cycle golden
+reference kept as a test oracle (``tests/replay_oracle.py``), timed on
 a subsample and extrapolated (replay cost is per-machine linear; timing
 100k machines through the scalar loop would take most of a minute for
 no extra information).  It writes ``BENCH_replay.json`` (committed,
@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.core import CheckpointCosts, CheckpointSchedule
 from repro.distributions import Exponential, Weibull
-from repro.simulation import SimulationConfig, replay_schedule
+from repro.simulation import SimulationConfig
 from repro.simulation.batch_replay import replay_flat_pool
+from tests.replay_oracle import replay_flat
 
 REL_BUDGET = 1e-9
 SPEEDUP_FLOOR = 50.0
@@ -90,7 +91,7 @@ def test_bench_replay(benchmark):
             schedule, np.concatenate(sub), lengths[:N_EQUIV], cfg
         ).to_results()
         for m, res in enumerate(batch):
-            scalar = replay_schedule(
+            scalar = replay_flat(
                 schedule, sub[m], cfg, machine_id=res.machine_id
             )
             max_rel_dev = max(max_rel_dev, _max_rel_dev(res, scalar))
@@ -106,7 +107,7 @@ def test_bench_replay(benchmark):
     for _ in range(2):
         start = time.perf_counter()
         for m in range(N_SCALAR):
-            replay_schedule(schedule, a[off[m] : off[m + 1]], CONFIG)
+            replay_flat(schedule, a[off[m] : off[m + 1]], CONFIG)
         scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
     scalar_extrapolated = scalar_seconds * N_MACHINES / N_SCALAR
     speedup = scalar_extrapolated / batch_seconds

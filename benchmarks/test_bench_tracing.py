@@ -49,7 +49,7 @@ def _measure_disabled_overhead(traces, disabled_s: float) -> tuple[int, float]:
     fraction of the replay time.
     """
     import repro.core.schedule as schedule_mod
-    import repro.simulation.trace_sim as trace_sim_mod
+    import repro.simulation.batch_replay as batch_replay_mod
 
     calls = 0
 
@@ -59,7 +59,7 @@ def _measure_disabled_overhead(traces, disabled_s: float) -> tuple[int, float]:
         return None
 
     patched = [
-        (trace_sim_mod, trace_sim_mod._trace_active),
+        (batch_replay_mod, batch_replay_mod._trace_active),
         (schedule_mod, schedule_mod._trace_active),
     ]
     try:

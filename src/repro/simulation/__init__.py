@@ -6,7 +6,6 @@ from repro.simulation.batch_replay import (
     BatchReplayItem,
     replay_batch,
     replay_flat_pool,
-    replay_schedule_batch,
 )
 from repro.simulation.runner import PoolSweep, SweepSettings, simulate_machine, simulate_pool
 from repro.simulation.trace_sim import (
@@ -25,7 +24,6 @@ __all__ = [
     "replay_batch",
     "replay_flat_pool",
     "replay_schedule",
-    "replay_schedule_batch",
     "simulate_machine",
     "simulate_pool",
     "simulate_trace",

@@ -7,7 +7,11 @@ Table 3 (network load) protocol:
    ``n_train`` observations (the training set);
 2. replay the machine's *entire* trace ("a job that begins before the
    first measurement ... and continues to run after the last") once per
-   (model, checkpoint cost) pair;
+   (model, checkpoint cost) pair -- one
+   :func:`~repro.simulation.batch_replay.replay_batch` call per (machine,
+   model), which solves the pair's schedules in lock-step and replays
+   flat configs through the array kernel and storage-backed ones
+   through the storage walk;
 3. aggregate per-machine efficiencies and megabyte counts into the
    per-(model, cost) vectors that the statistics layer turns into means,
    confidence intervals and paired significance tests.
@@ -46,7 +50,7 @@ from repro.obs.tracing import (
 )
 from repro.simulation.accounting import SimulationConfig, SimulationResult
 from repro.simulation.batch_replay import BatchReplayItem, replay_batch
-from repro.simulation.trace_sim import model_schedule, simulate_trace
+from repro.simulation.trace_sim import model_schedule
 from repro.traces.model import TRAINING_SET_SIZE, AvailabilityTrace, MachinePool
 
 __all__ = ["PoolSweep", "SweepSettings", "simulate_machine", "simulate_pool"]
@@ -76,15 +80,6 @@ class SweepSettings:
     em_seed:
         Seed for the hyperexponential EM restarts (per-machine streams
         are derived from it).
-    batch_replay:
-        Replay each (machine, model) through
-        :func:`~repro.simulation.batch_replay.replay_batch`: its
-        schedules are solved in lock-step, flat replays take the
-        vectorized kernel (<= 1e-9 relative to the scalar loop on every
-        result field) and storage-backed ones the table-driven storage
-        walk (bitwise equal); with a trace recorder active every flat
-        replay takes the scalar loop.  ``False`` forces the scalar golden reference,
-        one :func:`simulate_trace` per sweep point.
     """
 
     checkpoint_costs: tuple[float, ...] = (50.0, 100.0, 200.0, 250.0, 400.0, 500.0, 750.0, 1000.0, 1250.0, 1500.0)
@@ -93,7 +88,6 @@ class SweepSettings:
     replay: str = "full"
     base_config: SimulationConfig = SimulationConfig(checkpoint_cost=0.0)
     em_seed: int = 424242
-    batch_replay: bool = True
 
     def __post_init__(self) -> None:
         if not self.checkpoint_costs:
@@ -131,36 +125,22 @@ def _replay_model(
     model_name: str,
     settings: SweepSettings,
 ) -> list[SimulationResult]:
-    """Replay one fitted (machine, model) pair across the cost sweep."""
-    if settings.batch_replay:
-        # one schedule per sweep point, all replaying the same trace:
-        # the kernel vectorizes each point's replay over its intervals
-        items: list[BatchReplayItem] = []
-        for cost in settings.checkpoint_costs:
-            config = replace(settings.base_config, checkpoint_cost=float(cost))
-            items.append(
-                BatchReplayItem(
-                    schedule=model_schedule(dist, config),
-                    durations=replay,
-                    config=config,
-                    machine_id=machine_id,
-                    model_name=model_name,
-                )
-            )
-        return replay_batch(items)
-    results: list[SimulationResult] = []
+    """Replay one fitted (machine, model) pair across the cost sweep:
+    one schedule per sweep point, all replaying the same trace through
+    one :func:`~repro.simulation.batch_replay.replay_batch` call."""
+    items: list[BatchReplayItem] = []
     for cost in settings.checkpoint_costs:
         config = replace(settings.base_config, checkpoint_cost=float(cost))
-        results.append(
-            simulate_trace(
-                dist,
-                replay,
-                config,
+        items.append(
+            BatchReplayItem(
+                schedule=model_schedule(dist, config),
+                durations=replay,
+                config=config,
                 machine_id=machine_id,
                 model_name=model_name,
             )
         )
-    return results
+    return replay_batch(items)
 
 
 def simulate_machine(

@@ -1,6 +1,6 @@
 """The per-commit storage replay loop, kept as a test oracle.
 
-This is the loop ``trace_sim._replay_with_storage`` ran before the
+This is the loop ``batch_replay._replay_with_storage`` ran before the
 table-driven walk replaced it: every cycle asks the schedule for its
 work interval, sizes the checkpoint with
 :meth:`~repro.storage.store.CheckpointStore.plan_checkpoint`, and every
@@ -23,7 +23,7 @@ from repro.core.schedule import CheckpointSchedule
 from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 from repro.simulation.accounting import SimulationConfig, SimulationResult
-from repro.simulation.trace_sim import _partial_mb
+from repro.simulation.batch_replay import _partial_mb
 from repro.storage.store import CheckpointStore
 
 

@@ -1,11 +1,13 @@
 """Equivalence and behaviour tests for the vectorized batch replay kernel.
 
-``replay_schedule`` is the golden reference; the batch kernel must match
-it on every ``SimulationResult`` field to <= 1e-9 relative (counts and
-strings exactly) across all partial-transfer policies, both
-``recover_on_start`` settings, and arbitrary random pools.  Storage-backed
-items through ``replay_batch`` must equal the per-item ``simulate_trace``
-results exactly.
+The per-cycle loop in ``tests/replay_oracle.py`` is the golden
+reference; the batch kernel must match it on every ``SimulationResult``
+field to <= 1e-9 relative (counts and strings exactly) across all
+partial-transfer policies, both ``recover_on_start`` settings, and
+arbitrary random pools, and record the same spans per track while a
+trace recorder is active.  Storage-backed items through ``replay_batch``
+must equal the per-commit store loop in ``tests/storage_replay_oracle.py``
+exactly.
 """
 
 import dataclasses
@@ -32,15 +34,17 @@ from repro.simulation import (
     replay_batch,
     replay_flat_pool,
     replay_schedule,
-    replay_schedule_batch,
     simulate_pool,
     simulate_trace,
 )
 from repro.simulation.batch_replay import _fill_lockstep, _fill_need
+from repro.simulation.runner import _fit_machine, _replay_durations
 from repro.simulation.trace_sim import model_schedule
 from repro.storage.policy import StoragePolicy
 from repro.traces.model import TRAINING_SET_SIZE, AvailabilityTrace
 from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
+from tests.replay_oracle import replay_flat
+from tests.storage_replay_oracle import replay_with_storage
 
 REL_BUDGET = 1e-9
 
@@ -76,6 +80,26 @@ def fixed_schedule(T):
     return Fixed()
 
 
+def kernel_results(schedule, pool, config):
+    """One ``replay_batch`` over ``pool`` (one trace per machine), all
+    items sharing ``schedule`` and ``config``: one kernel call."""
+    return replay_batch(
+        [
+            BatchReplayItem(schedule=schedule, durations=d, config=config, machine_id=f"machine{m:06d}")
+            for m, d in enumerate(pool)
+        ]
+    )
+
+
+def oracle_replay(schedule, durations, config, **labels):
+    """The per-cycle reference for ``config``: the flat loop, or the
+    per-commit store loop for storage-backed configs."""
+    if config.storage_backed:
+        labels = {"machine_id": "machine", "model_name": "model", **labels}
+        return replay_with_storage(schedule, durations, config, **labels)
+    return replay_flat(schedule, durations, config, **labels)
+
+
 def assert_results_match(batch, scalar):
     """Every dataclass field equal: ints/strs exactly, floats to 1e-9."""
     for f in dataclasses.fields(type(scalar)):
@@ -96,7 +120,7 @@ class TestHandComputed:
 
     def test_perfect_interval(self):
         cfg = SimulationConfig(checkpoint_cost=100.0, recovery_cost=50.0)
-        (res,) = replay_schedule_batch(
+        (res,) = kernel_results(
             fixed_schedule(600.0), [np.array([750.0])], cfg
         )
         assert res.useful_work == pytest.approx(600.0)
@@ -110,7 +134,7 @@ class TestHandComputed:
         cfg = SimulationConfig(checkpoint_cost=100.0, recovery_cost=50.0)
         sched = fixed_schedule(600.0)
         # mid-recovery, mid-work, mid-checkpoint, multi-cycle -- one call
-        mid_rec, mid_work, mid_ckpt, multi = replay_schedule_batch(
+        mid_rec, mid_work, mid_ckpt, multi = kernel_results(
             sched,
             [
                 np.array([20.0]),
@@ -139,7 +163,7 @@ class TestHandComputed:
             recovery_cost=50.0,
             partial_transfer_policy="full",
         )
-        (res,) = replay_schedule_batch(
+        (res,) = kernel_results(
             fixed_schedule(600.0), [np.array([650.0])], cfg
         )
         assert res.n_checkpoints_attempted == 0
@@ -148,10 +172,10 @@ class TestHandComputed:
 
     def test_multi_interval_machine(self):
         cfg = SimulationConfig(checkpoint_cost=100.0, recovery_cost=50.0)
-        (res,) = replay_schedule_batch(
+        (res,) = kernel_results(
             fixed_schedule(600.0), [np.array([750.0, 20.0, 2250.0])], cfg
         )
-        scalar = replay_schedule(
+        scalar = replay_flat(
             fixed_schedule(600.0),
             np.array([750.0, 20.0, 2250.0]),
             cfg,
@@ -189,9 +213,9 @@ class TestScalarEquivalence:
             ),
             converge_rel_tol=1e-3,
         )
-        batch = replay_schedule_batch(sched, pool, cfg)
+        batch = kernel_results(sched, pool, cfg)
         for res, durations in zip(batch, pool, strict=True):
-            scalar = replay_schedule(
+            scalar = replay_flat(
                 sched, durations, cfg, machine_id=res.machine_id
             )
             assert_results_match(res, scalar)
@@ -205,7 +229,7 @@ class TestScalarEquivalence:
             CheckpointCosts.symmetric(300.0),
             converge_rel_tol=1e-3,
         )
-        for res in replay_schedule_batch(sched, pool, cfg):
+        for res in kernel_results(sched, pool, cfg):
             assert abs(res.conservation_residual()) < 1e-6 * max(res.total_time, 1.0)
 
     @given(
@@ -232,9 +256,9 @@ class TestScalarEquivalence:
             CheckpointCosts.symmetric(cost),
             converge_rel_tol=1e-3,
         )
-        batch = replay_schedule_batch(sched, pool, cfg)
+        batch = kernel_results(sched, pool, cfg)
         for res, durations in zip(batch, pool, strict=True):
-            scalar = replay_schedule(
+            scalar = replay_flat(
                 sched, durations, cfg, machine_id=res.machine_id
             )
             assert_results_match(res, scalar)
@@ -245,15 +269,15 @@ class TestDegenerateGuardParity:
     def test_zero_cycle_raises_like_scalar(self):
         cfg = SimulationConfig(checkpoint_cost=0.0, recover_on_start=False)
         with pytest.raises(ValueError, match="no forward progress"):
-            replay_schedule_batch(fixed_schedule(0.0), [np.array([100.0])], cfg)
+            kernel_results(fixed_schedule(0.0), [np.array([100.0])], cfg)
         with pytest.raises(ValueError, match="no forward progress"):
-            replay_schedule(fixed_schedule(0.0), np.array([100.0]), cfg)
+            replay_flat(fixed_schedule(0.0), np.array([100.0]), cfg)
 
     def test_zero_cycle_unreached_is_fine(self):
         # budgets that never enter the degenerate cycle replay normally,
         # in both paths
         cfg = SimulationConfig(checkpoint_cost=0.0, recover_on_start=False)
-        (res,) = replay_schedule_batch(
+        (res,) = kernel_results(
             fixed_schedule(50.0), [np.array([40.0])], cfg
         )
         assert res.lost_work == pytest.approx(40.0)
@@ -266,14 +290,15 @@ class TestInputValidation:
             storage=StoragePolicy(mode="full", full_every_k=1),
         )
         with pytest.raises(ValueError, match="flat"):
-            replay_schedule_batch(fixed_schedule(600.0), [np.array([750.0])], cfg)
+            replay_flat_pool(fixed_schedule(600.0), np.array([750.0]), np.array([1]), cfg)
 
     def test_mismatched_ids_rejected(self):
         cfg = SimulationConfig(checkpoint_cost=100.0)
         with pytest.raises(ValueError, match="machine ids"):
-            replay_schedule_batch(
+            replay_flat_pool(
                 fixed_schedule(600.0),
-                [np.array([750.0])],
+                np.array([750.0]),
+                np.array([1]),
                 cfg,
                 machine_ids=["a", "b"],
             )
@@ -281,11 +306,11 @@ class TestInputValidation:
     def test_negative_duration_rejected(self):
         cfg = SimulationConfig(checkpoint_cost=100.0)
         with pytest.raises(ValueError, match="non-negative"):
-            replay_schedule_batch(fixed_schedule(600.0), [np.array([-1.0])], cfg)
+            kernel_results(fixed_schedule(600.0), [np.array([-1.0])], cfg)
 
     def test_empty_batch(self):
         cfg = SimulationConfig(checkpoint_cost=100.0)
-        assert replay_schedule_batch(fixed_schedule(600.0), [], cfg) == []
+        assert replay_batch([]) == []
 
 
 class TestFlatPoolCore:
@@ -318,6 +343,12 @@ class TestFlatPoolCore:
         assert batch.n_recoveries_attempted.tolist() == [0, 1, 0]
         assert batch.efficiency.tolist() == [0.0, 0.8, 0.0]
 
+    def test_negative_segment_count_rejected(self):
+        # the counts sum to the pool size, but one is negative
+        cfg = SimulationConfig(checkpoint_cost=100.0)
+        with pytest.raises(ValueError, match="segment count is negative"):
+            replay_flat_pool(fixed_schedule(600.0), np.array([100.0, 200.0]), np.array([-1, 3]), cfg)
+
     def test_mismatched_lengths_rejected(self):
         cfg = SimulationConfig(checkpoint_cost=100.0)
         with pytest.raises(ValueError, match="segment lengths"):
@@ -349,7 +380,7 @@ class TestReplayBatchGrouping:
         out = replay_batch(items)
         assert [r.machine_id for r in out] == [f"m{i}" for i in range(6)]
         for i, res in enumerate(out):
-            scalar = replay_schedule(
+            scalar = replay_flat(
                 items[i].schedule,
                 traces[i],
                 items[i].config,
@@ -370,19 +401,36 @@ class TestRunnerIntegration:
         ]
 
     def _sweeps(self, **base):
+        """``(sweep, oracle)`` result pairs: the pool runner against one
+        per-cycle oracle replay per (machine, model, cost)."""
         base.update(checkpoint_costs=(100.0, 500.0), model_names=("exponential", "weibull"))
-        fast = simulate_pool(self._pool(), SweepSettings(batch_replay=True, **base))
-        slow = simulate_pool(self._pool(), SweepSettings(batch_replay=False, **base))
-        assert len(fast.results) == len(slow.results)
-        return zip(fast.results, slow.results, strict=True)
+        settings = SweepSettings(**base)
+        fast = simulate_pool(self._pool(), settings)
+        slow = []
+        for trace in self._pool():
+            replay = _replay_durations(trace, settings)
+            for model_name, dist in _fit_machine(trace, settings):
+                for cost in settings.checkpoint_costs:
+                    config = dataclasses.replace(settings.base_config, checkpoint_cost=float(cost))
+                    slow.append(
+                        oracle_replay(
+                            model_schedule(dist, config),
+                            replay,
+                            config,
+                            machine_id=trace.machine_id,
+                            model_name=model_name,
+                        )
+                    )
+        assert len(fast.results) == len(slow)
+        return zip(fast.results, slow, strict=True)
 
     def test_batch_sweep_matches_scalar_sweep(self):
         for f, s in self._sweeps():
             assert_results_match(f, s)
 
     def test_storage_backed_sweep_matches_scalar_sweep(self):
-        # storage configs take the lock-step fill and the scalar store
-        # loop: bitwise the per-item simulate_trace results
+        # storage configs take the lock-step fill and the storage walk:
+        # bitwise the per-commit store loop
         base_config = SimulationConfig(
             checkpoint_cost=0.0,
             checkpoint_size_mb=500.0,
@@ -396,7 +444,6 @@ class TestRunnerIntegration:
             simulate_pool(
                 self._pool(),
                 SweepSettings(
-                    batch_replay=True,
                     checkpoint_costs=(100.0,),
                     model_names=("exponential",),
                 ),
@@ -411,12 +458,127 @@ class TestRunnerIntegration:
         assert snap["histograms"]["sim.batch.replay_seconds"]["count"] > 0
 
 
+def _track_events(recorder):
+    """Each track's events in recording order (the untracked ``opt``
+    events of schedule solves left out)."""
+    tracks = {}
+    for ev in list(recorder._buf):
+        if "track" in ev:
+            tracks.setdefault(ev["track"], []).append(ev)
+    return tracks
+
+
+def _replay_counters(reg):
+    return {
+        k: v
+        for k, v in reg.as_dict()["counters"].items()
+        if k.startswith("sim.") or k == "link.transferred_mb"
+    }
+
+
+class TestTracedFlatReplay:
+    """Under a recorder the kernel records, per track, the spans and
+    points the per-cycle oracle records: same ``(cat, name)`` sequence,
+    argument keys and labels, times and megabytes to 1e-9 relative."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        policy=st.sampled_from(["proportional", "full", "none"]),
+        recover=st.booleans(),
+        count_recovery=st.booleans(),
+        latency=st.sampled_from([0.0, 25.0]),
+        shape=st.floats(0.35, 1.5),
+        scale=st.floats(200.0, 8000.0),
+        cost=st.floats(10.0, 800.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_spans_match_oracle(self, seed, policy, recover, count_recovery, latency, shape, scale, cost):
+        rng = np.random.default_rng(seed)
+        # some zero-length segments: a failed recovery, or nothing at all
+        pool = [np.where(rng.random(d.size) < 0.1, 0.0, d) for d in _random_pool(rng, 6, Weibull(shape, scale))]
+        cfg = SimulationConfig(
+            checkpoint_cost=cost,
+            partial_transfer_policy=policy,
+            recover_on_start=recover,
+            count_recovery_bandwidth=count_recovery,
+            latency=latency,
+        )
+        sched = CheckpointSchedule(
+            Weibull(shape, scale),
+            CheckpointCosts(checkpoint=cost, recovery=cfg.effective_recovery_cost, latency=latency),
+            converge_rel_tol=1e-3,
+        )
+        items = [
+            BatchReplayItem(schedule=sched, durations=d, config=cfg, machine_id=f"m{m}")
+            for m, d in enumerate(pool)
+        ]
+        with use_metrics() as kernel_reg, use_trace(TraceRecorder(sampling={})) as kernel_rec:
+            replay_batch(items)
+        with use_metrics() as oracle_reg, use_trace(TraceRecorder(sampling={})) as oracle_rec:
+            for item in items:
+                replay_flat(sched, item.durations, cfg, machine_id=item.machine_id)
+        got, want = _track_events(kernel_rec), _track_events(oracle_rec)
+        assert got.keys() == want.keys() == {item.machine_id for item in items}
+        for track, events in want.items():
+            assert [(e["cat"], e["name"]) for e in got[track]] == [(e["cat"], e["name"]) for e in events]
+            for g, w in zip(got[track], events, strict=True):
+                g_args, w_args = g.get("args", {}), w.get("args", {})
+                assert g.keys() == w.keys() and g_args.keys() == w_args.keys()
+                for key in ("committed", "phase", "kind"):
+                    assert g_args.get(key) == w_args.get(key)
+                for key in ("ts", "dur"):
+                    assert g.get(key, 0.0) == pytest.approx(w.get(key, 0.0), rel=REL_BUDGET, abs=1e-12), (track, w)
+                assert g_args.get("mb", 0.0) == pytest.approx(w_args.get("mb", 0.0), rel=REL_BUDGET, abs=1e-12), (track, w)
+        got_counters, want_counters = _replay_counters(kernel_reg), _replay_counters(oracle_reg)
+        for key, value in want_counters.items():
+            assert got_counters[key] == pytest.approx(value, rel=REL_BUDGET, abs=1e-12), key
+
+
+class TwoMethodSchedule:
+    """A schedule with only the two methods a replay reads (the ablation
+    bench's periodic baseline is one): a fixed list of work intervals,
+    the last one repeating."""
+
+    def __init__(self, intervals):
+        self._T = list(intervals)
+
+    def work_interval(self, i):
+        return self._T[min(i, len(self._T) - 1)]
+
+    def expected_efficiency(self, i=0):
+        return 0.5
+
+
+class TestDuckTypedSchedules:
+    DURATIONS = np.array([750.0, 20.0, 5000.0, 2600.0, 0.0, 41000.0])
+
+    def test_flat_two_method_schedule(self):
+        cfg = SimulationConfig(checkpoint_cost=100.0, recovery_cost=50.0, latency=5.0)
+        sched = TwoMethodSchedule([600.0, 900.0, 1200.0])
+        want = replay_flat(sched, self.DURATIONS, cfg)
+        assert_results_match(replay_schedule(sched, self.DURATIONS, cfg), want)
+        (res,) = replay_batch([BatchReplayItem(schedule=sched, durations=self.DURATIONS, config=cfg)])
+        assert_results_match(res, want)
+
+    def test_storage_two_method_schedule(self):
+        cfg = SimulationConfig(
+            checkpoint_cost=100.0,
+            checkpoint_size_mb=500.0,
+            storage=StoragePolicy(delta_fraction=0.1, full_every_k=3),
+        )
+        sched = TwoMethodSchedule([600.0, 900.0, 1200.0])
+        want = replay_with_storage(sched, self.DURATIONS, cfg, machine_id="machine", model_name="model")
+        assert replay_schedule(sched, self.DURATIONS, cfg) == want
+        (res,) = replay_batch([BatchReplayItem(schedule=sched, durations=self.DURATIONS, config=cfg)])
+        assert res == want
+
+
 class TestKernelMetrics:
     def test_counters_match_scalar_semantics(self):
         cfg = SimulationConfig(checkpoint_cost=100.0, recovery_cost=50.0)
         pool = [np.array([750.0, 2250.0]), np.array([20.0])]
         with use_metrics() as reg:
-            results = replay_schedule_batch(fixed_schedule(600.0), pool, cfg)
+            results = kernel_results(fixed_schedule(600.0), pool, cfg)
             snap = reg.as_dict()
         counters = snap["counters"]
         assert counters["sim.replays"] == len(pool)
@@ -527,7 +689,7 @@ STORAGE_CONFIGS = [
 
 class TestStorageItems:
     """Storage-backed items through replay_batch: lock-step filled, then
-    replayed by the scalar store loop -- bitwise the per-item
+    replayed by the storage walk -- bitwise the per-item
     ``simulate_trace`` results, with no solve left for the replay."""
 
     @pytest.fixture(scope="class")

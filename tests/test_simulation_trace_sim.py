@@ -6,6 +6,7 @@ import pytest
 from repro.core import CheckpointCosts, CheckpointSchedule
 from repro.distributions import Exponential, Weibull
 from repro.simulation import SimulationConfig, replay_schedule, simulate_trace
+from repro.simulation.trace_sim import model_schedule
 from repro.storage.policy import StoragePolicy
 
 
@@ -161,6 +162,18 @@ class TestValidation:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             SimulationConfig(checkpoint_cost=-1.0)
+
+    @pytest.mark.parametrize(
+        "storage", [None, StoragePolicy(delta_fraction=0.1, full_every_k=3)], ids=["flat", "storage"]
+    )
+    def test_replay_schedule_accepts_sequences(self, storage):
+        # regression: a list of durations used to raise TypeError
+        # ('<' between list and int) in replay_schedule
+        cfg = SimulationConfig(checkpoint_cost=100.0, storage=storage)
+        W = Weibull(0.5, 3000.0)
+        from_list = replay_schedule(model_schedule(W, cfg), [5000.0, 9000.0], cfg)
+        assert from_list == replay_schedule(model_schedule(W, cfg), np.array([5000.0, 9000.0]), cfg)
+        assert from_list.n_intervals == 2
 
     def test_zero_duration_interval_is_all_recovery_overhead(self):
         cfg = SimulationConfig(checkpoint_cost=100.0)

@@ -1,6 +1,6 @@
 """The table-driven storage replay against the per-commit store loop.
 
-``trace_sim._replay_with_storage`` walks each trace over per-interval
+``batch_replay._replay_with_storage`` walks each trace over per-interval
 plan tables and the policy's commit cadence; the loop it replaced,
 which commits every checkpoint to a live ``CheckpointStore``, is kept in
 ``tests/storage_replay_oracle.py``.  The two must agree bit for bit
