@@ -20,13 +20,10 @@ from typing import TYPE_CHECKING, Any, TextIO
 
 import numpy as np
 
-from repro.experiments.live_study import run_live_study
-from repro.experiments.study import run_simulation_study
-from repro.experiments.synthetic_study import run_synthetic_study
-from repro.experiments.validation import validate_simulation
+# the one eager repro import: `import repro` loads repro.traces.synthetic anyway
 from repro.traces.synthetic import SyntheticPoolConfig
 
-if TYPE_CHECKING:  # tool imports stay lazy at runtime (see _dispatch_tool)
+if TYPE_CHECKING:  # study and tool imports stay lazy at runtime
     from repro.experiments.study import SimulationStudy
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.tracing import TraceRecorder as _TraceRecorder
@@ -270,8 +267,12 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
     def wants(*names: str) -> bool:
         return args.command in names or args.command == "all"
 
+    # each artefact imports its study module only when it is asked for,
+    # so `repro --help` and the tool subcommands boot without them
     study: SimulationStudy | None = None
     if wants(*_SWEEP_COMMANDS):
+        from repro.experiments.study import run_simulation_study
+
         pool_config = SyntheticPoolConfig(
             n_machines=args.machines, n_observations=args.observations
         )
@@ -296,6 +297,8 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
         emit("")
 
     if wants("table2"):
+        from repro.experiments.synthetic_study import run_synthetic_study
+
         synth = run_synthetic_study(
             n_points=args.synthetic_points,
             seed=args.seed if args.seed is not None else 2005,
@@ -306,6 +309,8 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
     live_results: dict[str, Any] = {}
     for command, location in (("table4", "campus"), ("table5", "wan")):
         if wants(command):
+            from repro.experiments.live_study import run_live_study
+
             overrides: dict[str, Any] = dict(
                 horizon=args.horizon_days * 86400.0, n_machines=args.live_machines
             )
@@ -407,6 +412,9 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
         emit("")
 
     if wants("validate"):
+        from repro.experiments.live_study import run_live_study
+        from repro.experiments.validation import validate_simulation
+
         base = live_results.get("campus")
         if base is None:
             validate_overrides: dict[str, Any] = dict(

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize as spo
 from scipy import special
 
 from repro.distributions.base import ArrayLike, AvailabilityDistribution, FloatArray, ScalarOrArray
@@ -153,6 +152,9 @@ def fit_lognormal(data: ArrayLike, censored: ArrayLike | None = None) -> LogNorm
         surv = np.clip(1.0 - _phi(zc), 1e-300, 1.0)
         ll += float(np.sum(np.log(surv)))
         return -ll
+
+    # imported here so that loading the model costs no scipy.optimize
+    from scipy import optimize as spo
 
     res = spo.minimize(
         neg_ll, x0=[mu0, math.log(sigma0)], method="Nelder-Mead",

@@ -11,9 +11,21 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
-__all__ = ["MeanCI", "mean_ci"]
+__all__ = ["MeanCI", "check_finite", "mean_ci"]
+
+
+def check_finite(x: np.ndarray, name: str) -> None:
+    """Raise :class:`ValueError` naming ``name`` and the first NaN or
+    infinite entry of ``x``."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{name} must be finite: {float(x[i])} at index {i} "
+            f"({bad.size} non-finite of {x.size})"
+        )
 
 
 @dataclass(frozen=True)
@@ -41,17 +53,21 @@ def mean_ci(values, level: float = 0.95) -> MeanCI:
     """Student-t confidence interval for the mean of ``values``.
 
     A single observation yields an infinite half-width (no variance
-    estimate); the experiment drivers require n >= 2 anyway.
+    estimate); the experiment drivers require n >= 2 anyway.  A NaN or
+    infinite value raises :class:`ValueError`.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     n = x.size
     if n == 0:
         raise ValueError("cannot form a confidence interval from no data")
+    check_finite(x, "mean_ci values")
     if not (0.0 < level < 1.0):
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
     m = float(np.mean(x))
     if n == 1:
         return MeanCI(mean=m, half_width=math.inf, n=1, level=level)
     sem = float(np.std(x, ddof=1)) / math.sqrt(n)
-    t_crit = float(sps.t.ppf(0.5 + level / 2.0, df=n - 1))
+    # the quantile scipy.stats.t.ppf computes, without importing
+    # scipy.stats (the slowest import of a cold start)
+    t_crit = float(special.stdtrit(n - 1, 0.5 + level / 2.0))
     return MeanCI(mean=m, half_width=t_crit * sem, n=n, level=level)

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
 
 from repro.distributions.fitting.select import MODEL_MARKERS
+from repro.stats.ci import check_finite
 
 __all__ = [
     "PairedComparison",
@@ -25,6 +26,7 @@ __all__ = [
     "holm_adjust",
     "paired_ttest",
     "significance_markers",
+    "two_sided_p",
 ]
 
 #: the paper's significance level
@@ -45,7 +47,10 @@ class PairedComparison:
 
 
 def paired_ttest(a, b) -> PairedComparison:
-    """Two-sided paired t-test between matched samples ``a`` and ``b``."""
+    """Two-sided paired t-test between matched samples ``a`` and ``b``.
+
+    A NaN or infinite value in either sample raises :class:`ValueError`.
+    """
     xa = np.asarray(a, dtype=np.float64).ravel()
     xb = np.asarray(b, dtype=np.float64).ravel()
     if xa.shape != xb.shape:
@@ -53,6 +58,8 @@ def paired_ttest(a, b) -> PairedComparison:
     n = xa.size
     if n < 2:
         raise ValueError("paired t-test requires at least two pairs")
+    check_finite(xa, "paired_ttest sample a")
+    check_finite(xb, "paired_ttest sample b")
     diff = xa - xb
     mean_d = float(np.mean(diff))
     sd = float(np.std(diff, ddof=1))
@@ -62,8 +69,17 @@ def paired_ttest(a, b) -> PairedComparison:
         p = 1.0 if mean_d == 0.0 else 0.0
         return PairedComparison(t_statistic=t_stat, p_value=p, mean_difference=mean_d, n=n)
     t_stat = mean_d / (sd / math.sqrt(n))
-    p = 2.0 * float(sps.t.sf(abs(t_stat), df=n - 1))
+    p = two_sided_p(t_stat, n - 1)
     return PairedComparison(t_statistic=t_stat, p_value=p, mean_difference=mean_d, n=n)
+
+
+def two_sided_p(t_stat: float, df: int) -> float:
+    """``2 P(T_df > |t|)``: bitwise ``2 * scipy.stats.t.sf(|t|, df)``.
+
+    ``stdtr(df, -|t|)`` is the upper tail those methods compute, without
+    importing scipy.stats (the slowest import of a cold start).
+    """
+    return 2.0 * float(special.stdtr(df, -abs(t_stat)))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,18 @@
 """Tests for CIs, paired t-tests and significance markers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from repro.stats import holm_adjust, mean_ci, paired_ttest, significance_markers
+from repro.stats.significance import two_sided_p
+
+#: confidence levels the bitwise oracle checks cover
+ORACLE_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
 
 
 class TestMeanCI:
@@ -39,6 +47,47 @@ class TestMeanCI:
         s = str(mean_ci([1.0, 2.0, 3.0]))
         assert "±" in s
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"mean_ci values.*nan at index 1"):
+            mean_ci([1.0, float("nan"), 2.0])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match=r"mean_ci values.*inf at index 1"):
+            mean_ci([1.0, math.inf, 2.0])
+
+
+class TestScipyStatsOracle:
+    """The runtime takes its t quantiles and tails from scipy.special;
+    scipy.stats stays here, as the oracle they must equal bit for bit."""
+
+    def test_half_width_bitwise(self):
+        rng = np.random.default_rng(5)
+        for df in range(1, 401):
+            x = rng.normal(3.0, 1.5, size=df + 1)
+            sem = float(np.std(x, ddof=1)) / math.sqrt(x.size)
+            for level in ORACLE_LEVELS:
+                t_crit = float(sps.t.ppf(0.5 + level / 2.0, df=df))
+                assert mean_ci(x, level=level).half_width == t_crit * sem, (df, level)
+
+    def test_p_value_bitwise(self):
+        rng = np.random.default_rng(6)
+        for df in range(1, 401):
+            a = rng.normal(5.0, 1.0, size=df + 1)
+            b = a + rng.normal(rng.uniform(-0.5, 0.5), 0.5, size=df + 1)
+            r = paired_ttest(a, b)
+            assert r.p_value == 2.0 * float(sps.t.sf(abs(r.t_statistic), df=df)), df
+
+    @given(
+        t=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 50.0, 1e3, 1e300, math.inf]),
+            st.floats(allow_nan=False),
+        ),
+        df=st.integers(min_value=1, max_value=400),
+    )
+    def test_two_sided_p_bitwise(self, t, df):
+        assert two_sided_p(t, df) == 2.0 * float(sps.t.sf(abs(t), df=df))
+        assert two_sided_p(-t, df) == two_sided_p(t, df)
+
 
 class TestPairedTTest:
     def test_matches_scipy(self):
@@ -68,6 +117,14 @@ class TestPairedTTest:
     def test_too_few_pairs(self):
         with pytest.raises(ValueError):
             paired_ttest([1.0], [2.0])
+
+    def test_rejects_inf(self):
+        with pytest.raises(ValueError, match=r"sample a.*inf at index 2"):
+            paired_ttest([1.0, 2.0, math.inf], [0.0, 1.0, 2.0])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"sample b.*nan at index 0"):
+            paired_ttest([1.0, 2.0, 3.0], [float("nan"), 1.0, 2.0])
 
 
 class TestSignificanceMarkers:
