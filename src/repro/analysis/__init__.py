@@ -29,29 +29,24 @@ docs) and catch what no single file shows:
 ========  ==============================================================
 
 Run it as ``repro lint [paths ...]`` (or ``python -m repro.analysis``);
-findings can be suppressed per line with ``# reprolint: ignore[RLxxx]``,
-rules configured via ``[tool.reprolint]`` in pyproject.toml, output
-rendered as text, JSON or SARIF 2.1.0, known debt carried in a
-``--baseline`` file, and warm runs accelerated with ``--cache``.  See
+it prints one ``path:line:col: CODE message`` line per finding and
+exits 0 when clean, 1 on findings, 2 on usage errors.  Findings can be
+suppressed per line with ``# reprolint: ignore[RLxxx]`` and rules
+configured via ``[tool.reprolint]`` in pyproject.toml.  See
 ``docs/ANALYSIS.md`` for the full catalogue and workflows.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, write_baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.config import LintConfig, load_config
-from repro.analysis.engine import LintRun, lint_file, lint_paths, lint_project
+from repro.analysis.engine import LintRun, lint_file, lint_project
 from repro.analysis.findings import Finding
-from repro.analysis.output import render_findings
 from repro.analysis.project import FileIndex, ProjectContext, extract_file_index
 from repro.analysis.rules import PROJECT_REGISTRY, REGISTRY, ProjectRule, Rule
 
 __all__ = [
-    "Baseline",
     "FileIndex",
     "Finding",
-    "LintCache",
     "LintConfig",
     "LintRun",
     "PROJECT_REGISTRY",
@@ -61,9 +56,6 @@ __all__ = [
     "Rule",
     "extract_file_index",
     "lint_file",
-    "lint_paths",
     "lint_project",
     "load_config",
-    "render_findings",
-    "write_baseline",
 ]

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
-from repro.analysis.cache import LintCache, file_digest
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
 from repro.analysis.project import (
@@ -36,7 +35,7 @@ from repro.analysis.project import (
 from repro.analysis.rules import PROJECT_REGISTRY, REGISTRY, ProjectRule, Rule
 from repro.analysis.rules.base import ModuleContext
 
-__all__ = ["LintRun", "iter_python_files", "lint_file", "lint_paths", "lint_project"]
+__all__ = ["LintRun", "iter_python_files", "lint_file", "lint_project"]
 
 #: finding code used for files that fail to parse
 PARSE_ERROR_CODE = "RL000"
@@ -98,62 +97,69 @@ def _suppressed(finding: Finding, suppressions: dict[int, frozenset[str] | None]
     return codes is None or finding.code in codes
 
 
-def lint_file(
-    path: Path,
-    rules: Iterable[Rule] | None = None,
-    *,
-    config: LintConfig | None = None,
-) -> list[Finding]:
-    """Run all applicable rules over one file."""
-    config = config or LintConfig()
-    posix = path.as_posix()
-    if config.path_excluded(posix):
-        return []
-    source = path.read_text(encoding="utf-8")
+def _parse_module(path: Path, posix: str) -> tuple[ModuleContext, str] | Finding:
+    """Parse one file, or return the ``RL000`` finding saying why not."""
     try:
+        source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
+    except UnicodeDecodeError as exc:
+        data = exc.object  # the whole file: read_text decodes it in one call
+        return Finding(
+            path=str(path),
+            line=data.count(b"\n", 0, exc.start) + 1,
+            col=exc.start - (data.rfind(b"\n", 0, exc.start) + 1),
+            code=PARSE_ERROR_CODE,
+            message=f"file does not parse: not UTF-8 ({exc.reason})",
+        )
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
+        return Finding(
+            path=str(path),
+            line=exc.lineno or 1,
+            col=(exc.offset or 1) - 1,
+            code=PARSE_ERROR_CODE,
+            message=f"file does not parse: {exc.msg}",
+        )
     module = ModuleContext(
         path=str(path),
         posix_path=posix,
         tree=tree,
         source_lines=tuple(source.splitlines()),
     )
+    return module, source
+
+
+def _check_file(
+    path: Path, rules: Iterable[Rule], config: LintConfig
+) -> tuple[list[Finding], FileIndex | None]:
+    """Run the per-file rules over one file and index it for the project
+    passes; a file that does not parse yields its ``RL000`` and no index."""
+    posix = path.as_posix()
+    parsed = _parse_module(path, posix)
+    if isinstance(parsed, Finding):
+        return [parsed], None
+    module, source = parsed
     suppressions = _suppressions(source)
     findings: list[Finding] = []
-    for rule in rules if rules is not None else REGISTRY:
+    for rule in rules:
         if not config.rule_enabled(rule.code, posix) or not rule.applies_to(posix):
             continue
         for finding in rule.check(module):
             if not _suppressed(finding, suppressions):
                 findings.append(finding)
-    return sorted(findings)
+    return sorted(findings), extract_file_index(module)
 
 
-def lint_paths(
-    paths: Sequence[str | Path],
+def lint_file(
+    path: Path,
+    rules: Iterable[Rule] | None = None,
     *,
     config: LintConfig | None = None,
-    rules: Iterable[Rule] | None = None,
 ) -> list[Finding]:
-    """Lint every Python file under ``paths``; findings in path order.
-
-    Per-file rules only; :func:`lint_project` adds the project passes.
-    """
-    rule_list = tuple(rules) if rules is not None else REGISTRY
-    findings: list[Finding] = []
-    for path in iter_python_files(paths):
-        findings.extend(lint_file(path, rule_list, config=config))
-    return findings
+    """Run all applicable per-file rules over one file."""
+    config = config or LintConfig()
+    if config.path_excluded(path.as_posix()):
+        return []
+    return _check_file(path, rules if rules is not None else REGISTRY, config)[0]
 
 
 @dataclass
@@ -162,8 +168,6 @@ class LintRun:
 
     findings: list[Finding] = field(default_factory=list)
     files: list[Path] = field(default_factory=list)
-    #: files whose per-file results came straight from the cache
-    reused: int = 0
 
 
 def _index_rest_of_src(
@@ -171,7 +175,6 @@ def _index_rest_of_src(
     linted: Sequence[Path],
     config: LintConfig,
     indexes: dict[str, FileIndex],
-    sources: dict[str, str],
 ) -> None:
     """Index (but do not lint) the ``src/`` files outside the linted set.
 
@@ -198,18 +201,12 @@ def _index_rest_of_src(
         if posix in indexes or config.path_excluded(posix):
             continue
         try:
-            source = extra.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(extra))
-        except (OSError, SyntaxError):
-            continue  # unlintable out-of-scope files contribute nothing
-        sources[posix] = source
-        module = ModuleContext(
-            path=posix,
-            posix_path=posix,
-            tree=tree,
-            source_lines=tuple(source.splitlines()),
-        )
-        indexes[posix] = extract_file_index(module)
+            parsed = _parse_module(Path(posix), posix)
+        except OSError:
+            continue
+        if isinstance(parsed, Finding):
+            continue  # unparsable out-of-scope files contribute nothing
+        indexes[posix] = extract_file_index(parsed[0])
 
 
 def lint_project(
@@ -218,15 +215,13 @@ def lint_project(
     config: LintConfig | None = None,
     rules: Iterable[Rule] | None = None,
     project_rules: Iterable[ProjectRule] | None = None,
-    cache: LintCache | None = None,
 ) -> LintRun:
     """Run the full two-tier analysis: per-file rules, then project passes.
 
-    Per-file work (parse, rules, index extraction) is served from
-    ``cache`` for files whose content hash matches; project passes run
-    unconditionally over the assembled :class:`ProjectContext` -- they
-    are cheap once every index is in hand, and their findings depend on
-    cross-file state no single entry could key.
+    Each linted file goes through :func:`_check_file` once; the project
+    passes then run over the assembled :class:`ProjectContext`.  A
+    project finding on an indexed file honours that file's suppression
+    comments, read again only when such a finding lands.
     """
     config = config or LintConfig()
     rule_list = tuple(rules) if rules is not None else REGISTRY
@@ -241,63 +236,19 @@ def lint_project(
     ]
     root = find_project_root([Path(p) for p in paths])
     indexes: dict[str, FileIndex] = {}
-    sources: dict[str, str] = {}
     for path in run.files:
-        posix = path.as_posix()
-        source = path.read_text(encoding="utf-8")
-        sources[posix] = source
-        digest = file_digest(source)
-        if cache is not None:
-            entry = cache.lookup(posix, digest)
-            if entry is not None:
-                run.findings.extend(entry.findings)
-                if entry.index is not None:
-                    indexes[posix] = entry.index
-                run.reused += 1
-                continue
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            parse_finding = Finding(
-                path=str(path),
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {exc.msg}",
-            )
-            run.findings.append(parse_finding)
-            if cache is not None:
-                cache.store(posix, digest, [parse_finding], None)
-            continue
-        module = ModuleContext(
-            path=str(path),
-            posix_path=posix,
-            tree=tree,
-            source_lines=tuple(source.splitlines()),
-        )
-        suppressions = _suppressions(source)
-        file_findings: list[Finding] = []
-        for rule in rule_list:
-            if not config.rule_enabled(rule.code, posix) or not rule.applies_to(posix):
-                continue
-            for finding in rule.check(module):
-                if not _suppressed(finding, suppressions):
-                    file_findings.append(finding)
-        file_findings.sort()
-        run.findings.extend(file_findings)
-        index = extract_file_index(module)
-        indexes[posix] = index
-        if cache is not None:
-            cache.store(posix, digest, file_findings, index)
+        findings, index = _check_file(path, rule_list, config)
+        run.findings.extend(findings)
+        if index is not None:
+            indexes[path.as_posix()] = index
 
-    _index_rest_of_src(root, run.files, config, indexes, sources)
+    _index_rest_of_src(root, run.files, config, indexes)
     project = ProjectContext(root=root, indexes=indexes)
     suppression_cache: dict[str, dict[int, frozenset[str] | None]] = {}
 
     def suppressions_for(posix: str) -> dict[int, frozenset[str] | None]:
         if posix not in suppression_cache:
-            source = sources.get(posix)
-            suppression_cache[posix] = _suppressions(source) if source is not None else {}
+            suppression_cache[posix] = _suppressions(Path(posix).read_text(encoding="utf-8"))
         return suppression_cache[posix]
 
     for project_rule in project_list:
@@ -307,7 +258,7 @@ def lint_project(
                 continue
             if not config.rule_enabled(project_rule.code, posix):
                 continue
-            if posix in sources and _suppressed(finding, suppressions_for(posix)):
+            if posix in indexes and _suppressed(finding, suppressions_for(posix)):
                 continue
             run.findings.append(finding)
     run.findings.sort()

@@ -180,36 +180,59 @@ async def _request_once(
 async def _closed_loop_client(
     host: str,
     port: int,
-    payloads: list[dict[str, Any]],
+    payloads: list[tuple[int, bytes]],
     latencies: list[float],
+    keep: set[int],
     results: dict[int, dict[str, Any]],
 ) -> None:
+    """One closed-loop connection, kept off the benchmark's critical path:
+    requests are pre-encoded and only the ``keep`` sample is parsed
+    (the bench process shares the host's cores with the pool it is
+    measuring, so client-side JSON work would depress every QPS number
+    it reports).  Unsampled responses get a cheap byte-level OK check."""
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        for payload in payloads:
+        for rid, line in payloads:
             start = time.perf_counter()
-            response = await _request_once(reader, writer, payload)
+            writer.write(line)
+            await writer.drain()
+            raw = await reader.readline()
             latencies.append(time.perf_counter() - start)
-            results[int(payload["id"])] = response
+            if not raw:
+                raise ConnectionError("server closed the connection mid-bench")
+            if rid in keep:
+                response = json.loads(raw)
+                if not isinstance(response, dict):
+                    raise ConnectionError(f"malformed response: {raw!r}")
+                results[rid] = response
+            elif b'"ok":true' not in raw:
+                raise ConnectionError(f"request failed: {raw!r}")
     finally:
         writer.close()
         await writer.wait_closed()
 
 
 async def run_closed_loop(
-    host: str, port: int, queries: list[dict[str, Any]], clients: int
+    host: str,
+    port: int,
+    queries: list[dict[str, Any]],
+    clients: int,
+    keep: set[int],
 ) -> tuple[list[float], float, dict[int, dict[str, Any]]]:
-    """Run ``queries`` over ``clients`` connections; returns
-    (per-request latencies, wall seconds, responses by id)."""
+    """Run ``queries`` over ``clients`` connections, each sending its next
+    query the moment the previous answer lands; returns (latencies, wall
+    seconds, the responses whose id is in ``keep``)."""
     latencies: list[float] = []
     results: dict[int, dict[str, Any]] = {}
-    shards: list[list[dict[str, Any]]] = [[] for _ in range(clients)]
-    for i, q in enumerate(queries):
-        shards[i % clients].append(q)
+    shards: list[list[tuple[int, bytes]]] = [[] for _ in range(clients)]
+    for i, query in enumerate(queries):
+        shards[i % clients].append(
+            (int(query["id"]), (dumps(query) + "\n").encode())
+        )
     start = time.perf_counter()
     await asyncio.gather(
         *(
-            _closed_loop_client(host, port, shard, latencies, results)
+            _closed_loop_client(host, port, shard, latencies, keep, results)
             for shard in shards
             if shard
         )
@@ -332,6 +355,13 @@ def _check_equivalence(
     return max_dev
 
 
+def _equivalence_sample_ids(config: BenchConfig, n: int) -> set[int]:
+    """The ids :func:`_check_equivalence` will look up (its sampling
+    stride over a stream whose ids are positional)."""
+    step = max(1, n // max(config.equivalence_sample, 1))
+    return set(range(0, n, step))
+
+
 # ----------------------------------------------------------------------
 # the full artifact run
 # ----------------------------------------------------------------------
@@ -354,7 +384,11 @@ async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, An
         assert server.port is not None
         queries = build_queries(config, config.requests)
         latencies, wall, results = await run_closed_loop(
-            "127.0.0.1", server.port, queries, config.clients
+            "127.0.0.1",
+            server.port,
+            queries,
+            config.clients,
+            _equivalence_sample_ids(config, len(queries)),
         )
         cold_hits, cold_misses = cold_cache.hits, cold_cache.misses
         equivalence = _check_equivalence(config, queries, results, server.registry)
@@ -395,7 +429,7 @@ async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, An
         await server.start()
         assert server.port is not None
         warm_latencies, warm_wall, _ = await run_closed_loop(
-            "127.0.0.1", server.port, queries, config.clients
+            "127.0.0.1", server.port, queries, config.clients, set()
         )
         warm_hits, warm_misses = warm_cache.hits, warm_cache.misses
         loaded = server.warm_loaded_entries
@@ -464,73 +498,6 @@ def run_bench(
 # ----------------------------------------------------------------------
 # the --workers scaling sweep (multi-worker SO_REUSEPORT pools)
 # ----------------------------------------------------------------------
-async def _lean_client(
-    host: str,
-    port: int,
-    payloads: list[tuple[int, bytes]],
-    latencies: list[float],
-    keep: set[int],
-    results: dict[int, dict[str, Any]],
-) -> None:
-    """Closed-loop client that stays off the benchmark's critical path:
-    requests are pre-encoded and only the ``keep`` sample is parsed
-    (the bench process shares the host's cores with the pool it is
-    measuring, so client-side JSON work would depress every QPS number
-    it reports).  Unsampled responses get a cheap byte-level OK check."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        for rid, line in payloads:
-            start = time.perf_counter()
-            writer.write(line)
-            await writer.drain()
-            raw = await reader.readline()
-            latencies.append(time.perf_counter() - start)
-            if not raw:
-                raise ConnectionError("server closed the connection mid-bench")
-            if rid in keep:
-                response = json.loads(raw)
-                if not isinstance(response, dict):
-                    raise ConnectionError(f"malformed response: {raw!r}")
-                results[rid] = response
-            elif b'"ok":true' not in raw:
-                raise ConnectionError(f"request failed: {raw!r}")
-    finally:
-        writer.close()
-        await writer.wait_closed()
-
-
-async def _run_lean_closed_loop(
-    host: str,
-    port: int,
-    queries: list[dict[str, Any]],
-    clients: int,
-    keep: set[int],
-) -> tuple[list[float], float, dict[int, dict[str, Any]]]:
-    """:func:`run_closed_loop` with :func:`_lean_client` mechanics;
-    returns (latencies, wall seconds, sampled responses by id)."""
-    latencies: list[float] = []
-    results: dict[int, dict[str, Any]] = {}
-    shards: list[list[tuple[int, bytes]]] = [[] for _ in range(clients)]
-    for i, query in enumerate(queries):
-        shards[i % clients].append(
-            (int(query["id"]), (dumps(query) + "\n").encode())
-        )
-    start = time.perf_counter()
-    await asyncio.gather(
-        *(
-            _lean_client(host, port, shard, latencies, keep, results)
-            for shard in shards
-            if shard
-        )
-    )
-    return latencies, time.perf_counter() - start, results
-
-
-def _equivalence_sample_ids(config: BenchConfig, n: int) -> set[int]:
-    """The ids :func:`_check_equivalence` will look up (its sampling
-    stride over a stream whose ids are positional)."""
-    step = max(1, n // max(config.equivalence_sample, 1))
-    return set(range(0, n, step))
 async def _sweep_point(
     config: BenchConfig,
     workers: int,
@@ -555,7 +522,7 @@ async def _sweep_point(
     )
     await pool.start()
     assert pool.port is not None
-    latencies, wall, results = await _run_lean_closed_loop(
+    latencies, wall, results = await run_closed_loop(
         "127.0.0.1",
         pool.port,
         queries,
@@ -662,21 +629,8 @@ async def _run_against(
         pong = await _request_once(reader, writer, {"op": "ping", "id": "smoke"})
         if not pong.get("ok"):
             raise ConnectionError(f"ping failed: {pong!r}")
-        for name, dist, costs in _DEMO_POOLS:
-            response = await _request_once(
-                reader,
-                writer,
-                {
-                    "op": "register",
-                    "pool": name,
-                    "model": distribution_to_spec(dist),
-                    "costs": {
-                        "checkpoint": costs.checkpoint,
-                        "recovery": costs.recovery,
-                        "latency": costs.latency,
-                    },
-                },
-            )
+        for spec in distribution_specs():
+            response = await _request_once(reader, writer, {"op": "register", **spec})
             if not response.get("ok"):
                 raise ConnectionError(f"register failed: {response!r}")
     finally:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 from repro.analysis.cli import main as lint_main
 from repro.analysis.config import LintConfig, load_config
+from repro.analysis.engine import lint_file
+from repro.analysis.findings import Finding
 from repro.cli import main as repro_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +69,42 @@ class TestLintCli:
         code = repro_main(["lint", str(REPO_ROOT / "src" / "repro" / "analysis")], stdout=buf)
         assert code == 0
         assert "clean" in buf.getvalue()
+
+
+class TestTextOutput:
+    def test_text_renders_one_line_per_finding(self, tmp_path):
+        assert Finding(
+            path="src/app/serve/server.py",
+            line=42,
+            col=8,
+            code="RL101",
+            message="async stop() blocks the event loop",
+        ).render() == "src/app/serve/server.py:42:8: RL101 async stop() blocks the event loop"
+        bad = tmp_path / "core" / "mod.py"
+        bad.parent.mkdir()
+        bad.write_text("def f(x: float, y: float):\n    return x == 0.0, y != 1.0\n")
+        code, out = run_lint(str(tmp_path))
+        assert code == 1
+        assert out.splitlines() == [
+            *(finding.render() for finding in lint_file(bad)),
+            "repro lint: 2 finding(s) in 1 file(s)",
+        ]
+
+    def test_empty_run_renders_empty(self, tmp_path):
+        (tmp_path / "a.py").write_text("x = 1\n")
+        code, out = run_lint(str(tmp_path))
+        assert code == 0
+        assert out == "repro lint: clean (1 file(s))\n"
+
+    def test_non_utf8_file_exits_one_with_parse_finding(self, tmp_path):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b'x = "\xe9"\n')
+        code, out = run_lint(str(latin))
+        assert code == 1
+        assert out.splitlines() == [
+            f"{latin}:1:5: RL000 file does not parse: not UTF-8 (invalid continuation byte)",
+            "repro lint: 1 finding(s) in 1 file(s)",
+        ]
 
 
 class TestPyprojectConfig:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis.module import ModuleContext
 from repro.analysis.project import (
-    FileIndex,
     ProjectContext,
     extract_file_index,
     find_project_root,
@@ -129,28 +128,6 @@ class TestExtraction:
         )
         assert ("flush", "app.serve.io:flush") in index.imports
         assert ("d", "app.serve.io:drain") in index.imports
-
-
-class TestIndexSerialisation:
-    def test_round_trip(self):
-        index = extract_file_index(
-            _module(
-                "from os.path import join\n"
-                "class S:\n"
-                "    async def go(self, reg):\n"
-                "        reg.inc('x.y')\n"
-                "        open('f')\n"
-            )
-        )
-        restored = FileIndex.from_json(index.to_json())
-        assert restored == index
-
-    def test_round_trip_survives_json_text(self):
-        import json
-
-        index = extract_file_index(_module("def f():\n    open('x')\n"))
-        restored = FileIndex.from_json(json.loads(json.dumps(index.to_json())))
-        assert restored == index
 
 
 class TestProjectContext:

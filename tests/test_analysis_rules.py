@@ -10,7 +10,7 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis import Finding, LintConfig, lint_file, lint_paths
+from repro.analysis import Finding, LintConfig, lint_file, lint_project
 from repro.analysis.rules import REGISTRY
 from repro.analysis.rules.units import unit_family
 
@@ -446,6 +446,14 @@ class TestEngine:
         assert codes(findings) == ["RL000"]
         assert "does not parse" in findings[0].message
 
+    def test_non_utf8_file_reported_as_parse_error(self, tmp_path):
+        latin = tmp_path / "latin.py"
+        latin.write_bytes(b"# padding past one read chunk\n" * 400 + b'x = "\xe9"\n')
+        findings = lint_file(latin)
+        assert codes(findings) == ["RL000"]
+        assert (findings[0].line, findings[0].col) == (401, 5)
+        assert "does not parse: not UTF-8" in findings[0].message
+
     def test_config_disable_and_select(self, tmp_path):
         target = tmp_path / "core" / "mod.py"
         target.parent.mkdir()
@@ -461,12 +469,23 @@ class TestEngine:
         target.write_text("def f(x: float):\n    return x == 0.0\n")
         assert lint_file(target, config=LintConfig(exclude=("generated",))) == []
 
-    def test_lint_paths_walks_directories(self, tmp_path):
+    def test_lint_project_walks_directories(self, tmp_path):
         (tmp_path / "core").mkdir()
         (tmp_path / "core" / "a.py").write_text("def f(x: float):\n    return x == 0.0\n")
         (tmp_path / "core" / "b.py").write_text("def g() -> int:\n    return 1\n")
-        findings = lint_paths([tmp_path])
-        assert codes(findings) == ["RL002"]
+        run = lint_project([tmp_path])
+        assert run.files == [tmp_path / "core" / "a.py", tmp_path / "core" / "b.py"]
+        assert codes(run.findings) == ["RL002"]
+
+    def test_non_utf8_src_file_outside_linted_set_is_skipped(self, tmp_path):
+        (tmp_path / "pyproject.toml").write_text("")
+        package = tmp_path / "src" / "app"
+        package.mkdir(parents=True)
+        (package / "good.py").write_text("def g() -> int:\n    return 1\n")
+        (package / "latin.py").write_bytes(b'x = "\xe9"\n')
+        run = lint_project([package / "good.py"])
+        assert run.files == [package / "good.py"]
+        assert run.findings == []
 
     def test_findings_sorted_and_rendered(self, tmp_path):
         target = tmp_path / "core" / "mod.py"
