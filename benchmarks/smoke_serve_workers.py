@@ -39,6 +39,8 @@ import tempfile
 import time
 import urllib.request
 
+from repro.core.solver_cache import SNAPSHOT_SCHEMA
+
 BOOT_TIMEOUT_S = 90.0
 STEP_TIMEOUT_S = 30.0
 
@@ -194,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
             return _fail("merged snapshot missing after shutdown", log_path)
         with open(snapshot) as fh:
             merged = json.load(fh)
-        if merged.get("schema") != "repro.opt.solver_cache/1":
+        if merged.get("schema") != SNAPSHOT_SCHEMA:
             return _fail(f"merged snapshot has schema {merged.get('schema')!r}", log_path)
         if not merged.get("entries"):
             return _fail("merged snapshot holds no entries", log_path)

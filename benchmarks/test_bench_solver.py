@@ -1,5 +1,8 @@
 """Schedule-solver benchmark: the hybrid row solver vs the golden baseline.
 
+The golden side solves every row by bracketing plus Golden Section
+Search (``tests/solver_oracle.use_golden_solver``, cache disabled).
+
 Two regimes, written to ``BENCH_solver.json`` (committed, uploaded as a
 CI artifact, and guarded against regression by
 ``benchmarks/check_solver_regression.py``):
@@ -37,7 +40,6 @@ from repro.core import (
     CheckpointCosts,
     CheckpointSchedule,
     SolverCache,
-    use_solver,
     use_solver_cache,
 )
 from repro.distributions import Weibull
@@ -45,6 +47,7 @@ from repro.experiments.study import run_simulation_study
 from repro.obs.metrics import use as use_metrics
 from repro.simulation import SimulationConfig, simulate_trace
 from repro.traces.synthetic import SyntheticPoolConfig, generate_condor_pool
+from tests.solver_oracle import use_golden_solver
 
 WEIBULL = Weibull(0.43, 3409.0)
 N_TRACES = 20
@@ -64,7 +67,7 @@ def test_bench_solver(benchmark):
     traces = [WEIBULL.sample(60, rng) for _ in range(N_TRACES)]
 
     # -- objective evaluations per solve -------------------------------
-    with use_solver(method="golden", cache=False), use_metrics() as reg:
+    with use_golden_solver(), use_metrics() as reg:
         _replay_all(traces)
     g = reg.as_dict()["counters"]
     golden_solves = g["schedule.solves"]
@@ -77,11 +80,11 @@ def test_bench_solver(benchmark):
         + g["numerics.bracket.expansions"]
     )
 
-    with use_solver(method="hybrid", cache=False), use_metrics() as reg:
+    with use_solver_cache(None), use_metrics() as reg:
         _replay_all(traces)
     h_nocache = reg.as_dict()["counters"]
 
-    with use_solver(method="hybrid", cache=SolverCache()), use_metrics() as reg:
+    with use_solver_cache(SolverCache()), use_metrics() as reg:
         _replay_all(traces)
     h = reg.as_dict()["counters"]
     hybrid_solves = h["schedule.solves"]
@@ -92,27 +95,27 @@ def test_bench_solver(benchmark):
     evals_reduction = evals_per_solve_golden / passes_per_solve_hybrid
 
     # -- wall clock ----------------------------------------------------
-    def _timed(method, cache):
+    def _timed(solver):
         best = float("inf")
         for _ in range(3):
-            with use_solver(method=method, cache=cache()):
+            with solver():
                 start = time.perf_counter()
                 _replay_all(traces)
                 best = min(best, time.perf_counter() - start)
         return best
 
     _replay_all(traces)  # warm every code path before timing
-    golden_seconds = _timed("golden", lambda: False)
-    hybrid_seconds = _timed("hybrid", lambda: SolverCache())
+    golden_seconds = _timed(use_golden_solver)
+    hybrid_seconds = _timed(lambda: use_solver_cache(SolverCache()))
     speedup = golden_seconds / hybrid_seconds
 
     # -- cached/warm vs cold equivalence -------------------------------
     costs = CheckpointCosts(checkpoint=110.0, recovery=110.0, latency=10.0)
     max_rel_dev = 0.0
     for t_elapsed in (0.0, 3409.0, 34090.0):
-        with use_solver(method="hybrid", cache=False):
+        with use_solver_cache(None):
             cold = CheckpointSchedule(WEIBULL, costs, t_elapsed=t_elapsed).intervals(25)
-        with use_solver(method="hybrid", cache=SolverCache()):
+        with use_solver_cache(SolverCache()):
             sched = CheckpointSchedule(WEIBULL, costs, t_elapsed=t_elapsed)
             sched.intervals(25)  # populate the cache
             cached = sched.restarted(t_elapsed=t_elapsed).intervals(25)
@@ -127,7 +130,7 @@ def test_bench_solver(benchmark):
     )
     cold_seconds = float("inf")
     for _ in range(3):
-        with use_solver(method="hybrid", cache=SolverCache()), use_metrics() as reg:
+        with use_solver_cache(SolverCache()), use_metrics() as reg:
             start = time.perf_counter()
             run_simulation_study(pool, n_workers=1)
             cold_seconds = min(cold_seconds, time.perf_counter() - start)

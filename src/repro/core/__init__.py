@@ -2,8 +2,8 @@
 
 * :mod:`repro.core.markov` -- Vaidya's three-state Markov model with
   arbitrary availability distributions and future-lifetime conditioning.
-* :mod:`repro.core.optimizer` -- ``T_opt`` via Golden Section Search on
-  ``Gamma(T)/T``.
+* :mod:`repro.core.optimizer` -- ``T_opt`` minimising ``Gamma(T)/T``: a
+  vectorised row solver with a Golden Section Search fallback.
 * :mod:`repro.core.schedule` -- aperiodic ``T_opt(i)`` schedules.
 * :mod:`repro.core.planner` -- the high-level fit -> schedule API.
 """
@@ -16,10 +16,8 @@ from repro.core.completion import (
 from repro.core.markov import CheckpointCosts, IntervalTransitions, MarkovIntervalModel
 from repro.core.optimizer import (
     OptimalInterval,
-    default_solver_method,
     optimize_interval,
     optimize_intervals_batch,
-    use_solver,
     young_approximation,
 )
 from repro.core.planner import CheckpointPlanner
@@ -44,10 +42,8 @@ __all__ = [
     "SolverCache",
     "active_cache",
     "configure_cache",
-    "default_solver_method",
     "optimize_interval",
     "optimize_intervals_batch",
-    "use_solver",
     "use_solver_cache",
     "young_approximation",
 ]

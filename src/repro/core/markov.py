@@ -74,8 +74,12 @@ class CheckpointCosts:
     latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.checkpoint < 0 or self.recovery < 0 or self.latency < 0:
-            raise ValueError(f"costs must be non-negative: {self}")
+        if not (
+            0 <= self.checkpoint < math.inf
+            and 0 <= self.recovery < math.inf
+            and 0 <= self.latency < math.inf
+        ):
+            raise ValueError(f"costs must be finite and non-negative: {self}")
 
     @classmethod
     def symmetric(cls, cost: float, *, latency: float = 0.0) -> "CheckpointCosts":
@@ -181,49 +185,16 @@ class MarkovIntervalModel:
         """``Gamma(T) / T`` -- the quantity the paper minimises."""
         return self.gamma(T) / T
 
-    # ------------------------------------------------------------------
-    # batched evaluation (one row of the solver's fast path)
-    # ------------------------------------------------------------------
-    def gamma_batch(self, T: ArrayLike) -> FloatArray:
-        """Eq. 11 for a whole vector of candidate work intervals.
-
-        The one-row case of :class:`MarkovRows`, the evaluator the hybrid
-        solver runs; it agrees with the scalar :meth:`gamma` pointwise
-        (the two share formulas, not code, and can differ by round-off).
-        """
-        Tarr = np.atleast_1d(np.asarray(T, dtype=np.float64))
-        if np.any(Tarr <= 0.0):
-            raise ValueError("work intervals must be positive")
-        rows = MarkovRows(
-            self.distribution,
-            [self.age],
-            [self.costs.checkpoint],
-            [self.costs.recovery],
-            [self.costs.latency],
-        )
-        out: FloatArray = rows.gamma(Tarr[None, :])[0]
-        return out
-
-    def overhead_ratio_batch(self, T: ArrayLike) -> FloatArray:
-        """``Gamma(T) / T`` elementwise for a vector of candidates."""
-        Tarr = np.atleast_1d(np.asarray(T, dtype=np.float64))
-        out: FloatArray = self.gamma_batch(Tarr) / Tarr
-        return out
-
     def expected_efficiency(self, T: float) -> float:
         """``T / Gamma(T)`` -- expected fraction of time doing useful work."""
         g = self.gamma(T)
         return T / g if math.isfinite(g) and g > 0.0 else 0.0
 
-    def at_age(self, age: float) -> "MarkovIntervalModel":
-        """A model for the same distribution/costs at a different uptime."""
-        return MarkovIntervalModel(self.distribution, self.costs, age)
-
 
 class MarkovRows:
     """Eq. 11 on ``(rows x abscissae)`` arrays: one (age, C, R, L) per row.
 
-    The hybrid solver's objective.  Row ``i`` of :meth:`gamma` evaluates
+    The row solver's objective.  Row ``i`` of :meth:`gamma` evaluates
     the three-state model of ``(distribution, costs[i], ages[i])`` at
     every work interval in ``T[i]``.  The distribution is touched only
     through two fused kernels built once

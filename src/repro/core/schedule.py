@@ -18,7 +18,6 @@ as far as its replay budget needs.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Iterator, Sequence
 from typing import Any
@@ -66,7 +65,7 @@ class CheckpointSchedule:
         the conditional distribution stabilises (the hyperexponential
         converges to its slowest phase; the Weibull drifts ever more
         slowly), so the trace simulator enables this with ``1e-3`` to
-        bound the number of golden-section solves per schedule.
+        bound the number of solves per schedule.
         ``None`` (the default) disables the shortcut.
     """
 
@@ -77,8 +76,6 @@ class CheckpointSchedule:
         *,
         t_elapsed: float = 0.0,
         include_recovery_age: bool = False,
-        t_min: float = 1e-3,
-        t_max: float | None = None,
         converge_rel_tol: float | None = None,
     ) -> None:
         if t_elapsed < 0:
@@ -87,8 +84,6 @@ class CheckpointSchedule:
         self.costs = costs
         self.t_elapsed = float(t_elapsed)
         self.include_recovery_age = include_recovery_age
-        self._t_min = t_min
-        self._t_max = t_max
         self._intervals: list[OptimalInterval] = []
         self._ages: list[float] = []
         self._memoryless = isinstance(distribution, Exponential)
@@ -157,8 +152,6 @@ class CheckpointSchedule:
             self.costs,
             t_elapsed=t_elapsed,
             include_recovery_age=self.include_recovery_age,
-            t_min=self._t_min,
-            t_max=self._t_max,
             converge_rel_tol=self._converge_rel_tol,
         )
 
@@ -170,8 +163,6 @@ class CheckpointSchedule:
             costs,
             t_elapsed=self.t_elapsed if t_elapsed is None else t_elapsed,
             include_recovery_age=self.include_recovery_age,
-            t_min=self._t_min,
-            t_max=self._t_max,
             converge_rel_tol=self._converge_rel_tol,
         )
 
@@ -241,34 +232,27 @@ class CheckpointSchedule:
 
 def _solve_next(schedules: Sequence[CheckpointSchedule]) -> None:
     """Solve the next interval of every schedule (one distribution) with
-    one batched solve per distinct search domain."""
-    distribution = schedules[0].distribution
-    groups: dict[tuple[float, float | None], list[CheckpointSchedule]] = {}
-    for sched in schedules:
-        groups.setdefault((sched._t_min, sched._t_max), []).append(sched)
+    one batched solve."""
+    ages = [sched._next_age() for sched in schedules]
+    wall0 = time.perf_counter()
+    solved = optimize_intervals_batch(
+        schedules[0].distribution, [sched.costs for sched in schedules], ages
+    )
+    wall = time.perf_counter() - wall0
     reg = _metrics()
+    if reg is not None:
+        reg.inc("schedule.solves", len(schedules))
     trace = _trace_active()
-    for (t_min, t_max), group in groups.items():
-        ages = [sched._next_age() for sched in group]
-        if not all(math.isfinite(age) for age in ages):  # pragma: no cover - defensive
-            raise OverflowError("schedule age overflowed")
-        wall0 = time.perf_counter()
-        solved = optimize_intervals_batch(
-            distribution, [sched.costs for sched in group], ages, t_min=t_min, t_max=t_max
-        )
-        wall = time.perf_counter() - wall0
-        if reg is not None:
-            reg.inc("schedule.solves", len(group))
-        for sched, age, opt in zip(group, ages, solved, strict=True):
-            if trace is not None:
-                # the solve is instantaneous in sim time (a zero-width
-                # span at the resource age it was computed for); its real
-                # cost is the wall_s argument (the whole batched call)
-                trace.span(
-                    "opt", "solve", age, 0.0,
-                    args={"index": len(sched._intervals), "T_opt": opt.T_opt, "wall_s": wall},
-                )
-            sched._append_solved(opt, age)
+    for sched, age, opt in zip(schedules, ages, solved, strict=True):
+        if trace is not None:
+            # the solve is instantaneous in sim time (a zero-width span
+            # at the resource age it was computed for); its real cost is
+            # the wall_s argument (the whole batched call)
+            trace.span(
+                "opt", "solve", age, 0.0,
+                args={"index": len(sched._intervals), "T_opt": opt.T_opt, "wall_s": wall},
+            )
+        sched._append_solved(opt, age)
 
 
 def fill_schedules(

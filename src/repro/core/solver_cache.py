@@ -8,8 +8,7 @@ ablation benches replay the same traces several times over.  Since
 ``T_opt`` is a pure function of the solve inputs, those repeats are pure
 waste -- this module memoises them.
 
-Keys are ``(distribution fingerprint, C, R, L, age bucket, t_min,
-t_max, rel_tol, method)``:
+Keys are ``(distribution fingerprint, C, R, L, age bucket)``:
 
 * the **fingerprint** (see
   :meth:`~repro.distributions.base.AvailabilityDistribution.fingerprint`)
@@ -20,10 +19,10 @@ t_max, rel_tol, method)``:
   exact for the repeated identical age chains the schedule produces,
   while collapsing sub-nanosecond float dust.  The quantum is far below
   the 1e-9 *relative* ``T_opt`` equivalence budget of the golden-master
-  tests (``d T_opt / d age`` is O(1) for every family in the suite);
-* the solver ``method`` keeps legacy golden-section results from being
-  served to hybrid queries (they agree only to the solver tolerance,
-  not to the cache's exactness contract).
+  tests (``d T_opt / d age`` is O(1) for every family in the suite).
+
+The search domain is not part of the key: its lower end is a constant
+and its upper end a function of (fingerprint, age).
 
 The cache is **per process** (like the metrics registry) and explicitly
 mergeable across processes: each sweep worker ships
@@ -78,11 +77,11 @@ AGE_QUANTUM_DIGITS = 9
 #: version does not match, so a daemon warm-loading a disk snapshot from
 #: a future (or foreign) writer fails loudly instead of silently
 #: mis-parsing entries.
-SNAPSHOT_SCHEMA = "repro.opt.solver_cache/1"
+SNAPSHOT_SCHEMA = "repro.opt.solver_cache/2"
 
 #: current snapshot format version (bump together with the schema suffix
 #: on any incompatible change to the entry layout)
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _freeze(obj: Any) -> Any:
@@ -114,10 +113,6 @@ class SolverCache:
         recovery: float,
         latency: float,
         age: float,
-        t_min: float,
-        t_max: float,
-        rel_tol: float,
-        method: str,
     ) -> SolverCacheKey:
         """The canonical cache key for one solve instance."""
         return (
@@ -126,10 +121,6 @@ class SolverCache:
             float(recovery),
             float(latency),
             round(float(age), AGE_QUANTUM_DIGITS),
-            float(t_min),
-            float(t_max),
-            float(rel_tol),
-            method,
         )
 
     # ------------------------------------------------------------------
@@ -201,12 +192,11 @@ class SolverCache:
         sweep workers ship their cumulative cache once per task), where
         adding the counters each time would multi-count them.
 
-        Raises :class:`ValueError` when ``data`` is not a solver-cache
-        snapshot, carries an unknown schema, or was written by a newer
-        format version -- a daemon warm-loading a stale or foreign file
-        must fail loudly rather than populate the cache with garbage.
-        (Version-1 snapshots written before the explicit ``version``
-        field are still accepted: the schema string pins the format.)
+        Raises :class:`ValueError`, leaving the cache unchanged, when
+        ``data`` is not a solver-cache snapshot of this format (unknown
+        schema, missing or other version) -- a daemon warm-loading a
+        stale or foreign file must fail loudly rather than populate the
+        cache with garbage.
         """
         from repro.core.optimizer import OptimalInterval
 
@@ -216,10 +206,10 @@ class SolverCache:
                 f"not a solver-cache snapshot: expected schema {SNAPSHOT_SCHEMA!r}, "
                 f"got {schema!r}"
             )
-        version = int(data.get("version", SNAPSHOT_VERSION))
+        version = data.get("version")
         if version != SNAPSHOT_VERSION:
             raise ValueError(
-                f"unsupported solver-cache snapshot version {version} "
+                f"unsupported solver-cache snapshot version {version!r} "
                 f"(this build reads version {SNAPSHOT_VERSION}); regenerate the "
                 "snapshot with SolverCache.as_dict()"
             )

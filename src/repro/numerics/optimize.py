@@ -341,7 +341,7 @@ def _grid_then_golden(
 
 
 # ----------------------------------------------------------------------
-# the vectorised row minimiser (the fast path of ``method="hybrid"``)
+# the vectorised row minimiser (the schedule solver's fast path)
 # ----------------------------------------------------------------------
 
 

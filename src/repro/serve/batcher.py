@@ -9,7 +9,7 @@ batch *flushes*, which happens when either
 * the pending list reaches **max_batch** (back-pressure bound).
 
 At flush time the batch is grouped by *solve identity* -- distribution
-fingerprint, cost triple and solver settings -- and each group is
+fingerprint and cost triple -- and each group is
 dispatched through one
 :func:`~repro.core.optimizer.optimize_intervals_batch` call: duplicate
 ages inside a group collapse to a single solve (the dominant effect for
@@ -59,7 +59,7 @@ __all__ = ["BatcherStats", "MicroBatcher", "SolveQuery"]
 
 @dataclass(frozen=True)
 class SolveQuery:
-    """One schedule query: (model, costs, age) plus solver settings.
+    """One schedule query: (model, costs, age).
 
     ``tenant`` is observability-only: the pool name the query arrived
     under (``"-"`` for inline-model queries).  It labels the per-tenant
@@ -70,10 +70,6 @@ class SolveQuery:
     distribution: AvailabilityDistribution
     costs: CheckpointCosts
     age: float
-    t_min: float = 1e-3
-    t_max: float | None = None
-    rel_tol: float = 1e-6
-    method: str | None = None
     tenant: str = "-"
 
     def __post_init__(self) -> None:
@@ -87,10 +83,6 @@ class SolveQuery:
             self.costs.checkpoint,
             self.costs.recovery,
             self.costs.latency,
-            self.t_min,
-            self.t_max,
-            self.rel_tol,
-            self.method,
         )
 
 
@@ -231,15 +223,7 @@ class MicroBatcher:
             misses0 = cache.misses if cache is not None else 0
             solve0 = time.perf_counter()
             try:
-                results = optimize_intervals_batch(
-                    head.distribution,
-                    head.costs,
-                    ages,
-                    t_min=head.t_min,
-                    t_max=head.t_max,
-                    rel_tol=head.rel_tol,
-                    method=head.method,
-                )
+                results = optimize_intervals_batch(head.distribution, head.costs, ages)
             except Exception as exc:  # reprolint: ignore[RL006] - re-delivered to every waiter via set_exception; the daemon must outlive one bad group
                 self.stats.errors += 1
                 if reg is not None:

@@ -20,6 +20,7 @@ a machine-readable ``code`` and a human-readable ``message``.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.core.markov import CheckpointCosts
@@ -98,8 +99,9 @@ def parse_request(line: str) -> dict[str, Any]:
 
 
 def dumps(obj: dict[str, Any]) -> str:
-    """Canonical one-line encoding of a response object."""
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+    """Canonical one-line encoding of a response object: strict JSON, so
+    a non-finite float raises instead of emitting ``NaN``/``Infinity``."""
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
 
 
 def ok_response(request_id: Any, **fields: Any) -> dict[str, Any]:
@@ -124,11 +126,13 @@ def interval_to_payload(interval: OptimalInterval) -> dict[str, Any]:
 
     Hand-rolled rather than :func:`dataclasses.asdict`: this runs once
     per served solve and ``asdict``'s recursive copy machinery costs
-    more than the rest of response serialisation combined.
+    more than the rest of response serialisation combined.  An
+    unschedulable solve's infinite ``gamma`` is written as ``null``.
     """
+    gamma = interval.gamma
     return {
         "T_opt": interval.T_opt,
-        "gamma": interval.gamma,
+        "gamma": gamma if gamma < math.inf else None,
         "overhead_ratio": interval.overhead_ratio,
         "expected_efficiency": interval.expected_efficiency,
         "age": interval.age,

@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, TextIO
@@ -85,6 +86,18 @@ _logger = logging.getLogger("repro.serve")
 _DRAIN_WATERMARK = 1 << 16
 
 
+def _encode(response: dict[str, Any]) -> str:
+    """``response`` as one strict-JSON line.  Results are always finite;
+    a non-finite number echoed from the request (an ``Infinity`` id)
+    turns the answer into an id-less ``bad-request`` error."""
+    try:
+        return dumps(response)
+    except ValueError:
+        return dumps(
+            error_response(None, "bad-request", "request carries a non-finite number")
+        )
+
+
 def _request_envelope_of(line: str) -> tuple[Any, str | None]:
     """Best-effort ``(id, op)`` extraction for the backpressure fast
     path: a rejected request still gets its id echoed when the line
@@ -131,8 +144,6 @@ class ServerConfig:
     max_batch: int = 256
     snapshot_path: str | None = None
     snapshot_interval_s: float = 30.0
-    t_min: float = 1e-3
-    rel_tol: float = 1e-6
     metrics_port: int | None = None
     slow_request_s: float = 1.0
     max_inflight: int | None = None
@@ -167,10 +178,6 @@ class ServerConfig:
             raise ValueError(
                 f"snapshot interval must be positive, got {self.snapshot_interval_s}"
             )
-        if self.t_min <= 0:
-            raise ValueError(f"t_min must be positive, got {self.t_min}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
 
 
 class ScheduleServer:
@@ -453,8 +460,10 @@ class ScheduleServer:
         age = request.get("age")
         if isinstance(age, bool) or not isinstance(age, int | float):
             raise ProtocolError("bad-request", f"'age' must be numeric, got {age!r}")
-        if age < 0:
-            raise ProtocolError("bad-request", f"'age' must be non-negative, got {age}")
+        if not 0 <= age < math.inf:
+            raise ProtocolError(
+                "bad-request", f"'age' must be finite and non-negative, got {age}"
+            )
         pool = request.get("pool")
         model = request.get("model")
         if pool is not None and model is not None:
@@ -481,8 +490,6 @@ class ScheduleServer:
             distribution=distribution,
             costs=costs,
             age=float(age),
-            t_min=self.config.t_min,
-            rel_tol=self.config.rel_tol,
             tenant=tenant,
         )
         result = await self.batcher.submit(query)
@@ -589,7 +596,7 @@ class ScheduleServer:
 
         async def respond(line: str) -> None:
             response = await self.handle_line(line)
-            payload = (dumps(response) + "\n").encode()
+            payload = (_encode(response) + "\n").encode()
             respond0 = time.perf_counter()
             # each response is one complete line in one write() call, so
             # concurrent responders cannot interleave framing; drain only
@@ -648,7 +655,7 @@ class ScheduleServer:
                             "busy",
                             f"server at max in-flight requests ({cap})",
                         )
-                        writer.write((dumps(busy) + "\n").encode())
+                        writer.write((_encode(busy) + "\n").encode())
                         continue
                 self._inflight += 1
                 task = asyncio.ensure_future(respond(line))
@@ -777,7 +784,7 @@ class ScheduleServer:
             if not text:
                 continue
             response = await self.handle_line(text)
-            print(dumps(response), file=out, flush=True)
+            print(_encode(response), file=out, flush=True)
             served += 1
             if self._stop.is_set():
                 break

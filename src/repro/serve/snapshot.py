@@ -5,7 +5,7 @@ in the process-global :class:`~repro.core.solver_cache.SolverCache`.
 Restarting it cold throws that work away and every tenant pays full
 solve latency again until the cache repopulates.  These helpers persist
 the cache's :meth:`~repro.core.solver_cache.SolverCache.as_dict`
-snapshot (schema ``repro.opt.solver_cache/1``, explicitly versioned) to
+snapshot (schema ``repro.opt.solver_cache/2``, explicitly versioned) to
 a JSON file and fold it back in at startup, so a restarted daemon
 answers its first requests from cache.
 

@@ -1,20 +1,28 @@
-"""The scalar grid + Brent hybrid solver, kept as a test oracle.
+"""Scalar reference solvers, kept as test oracles.
 
-This is the cold path the ``hybrid`` method ran before the vectorised
-row solver (:func:`repro.numerics.optimize.minimize_rows`) replaced it:
-one batched log-grid pass brackets the minimum, Brent's method refines
-it one scalar evaluation at a time, and a symmetric three-point parabola
-polishes the abscissa.  It shares no refinement code with the row
-solver, so agreement between the two is an independent check of both.
+* :func:`minimize_positive_hybrid` -- the scalar grid + Brent hybrid,
+  the cold path the solver ran before the vectorised row solver
+  (:func:`repro.numerics.optimize.minimize_rows`) replaced it: one
+  batched log-grid pass brackets the minimum, Brent's method refines it
+  one scalar evaluation at a time, and a symmetric three-point parabola
+  polishes the abscissa.  It shares no refinement code with the row
+  solver, so agreement between the two is an independent check of both.
+* :func:`use_golden_solver` -- the paper's bracketing + Golden Section
+  Search on every row, the reference the row solver is benchmarked
+  against.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
+from repro.core import optimizer
+from repro.core.solver_cache import use_solver_cache
 from repro.numerics import (
     BatchObjective,
     Bracket,
@@ -166,3 +174,19 @@ def minimize_positive_hybrid(
         x, fx = _parabolic_polish(clamped, func_batch, result.x, result.fx, lo=lo, hi=hi)
         return GoldenSectionResult(x=x, fx=fx, iterations=result.iterations, converged=result.converged)
     return minimize_positive_scalar(func, guess=guess, lo=lo, hi=hi, rel_tol=rel_tol, grid_points=grid_points)
+
+
+def _solve_golden_rows(distribution, fingerprint, rows):
+    return [
+        optimizer._solve_scalar(distribution, fingerprint, costs, age, t_max)
+        for costs, age, t_max in rows
+    ]
+
+
+@contextmanager
+def use_golden_solver() -> Iterator[None]:
+    """Solve every row by golden section (the row solver's fallback),
+    with the solver cache disabled, inside the block."""
+    with pytest.MonkeyPatch.context() as patch, use_solver_cache(None):
+        patch.setattr(optimizer, "_solve_rows", _solve_golden_rows)
+        yield

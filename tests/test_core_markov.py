@@ -26,6 +26,12 @@ class TestCheckpointCosts:
         with pytest.raises(ValueError):
             CheckpointCosts(checkpoint=1.0, recovery=1.0, latency=-0.5)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        for fields in ((bad, 1.0, 0.0), (1.0, bad, 0.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                CheckpointCosts(*fields)
+
 
 class TestTransitions:
     def test_probabilities_sum_and_bounds(self, exp_model):
@@ -124,11 +130,6 @@ class TestGamma:
     def test_zero_cost_perfect_efficiency_limit(self):
         model = MarkovIntervalModel(Exponential(1e-9), CheckpointCosts.symmetric(0.0))
         assert model.expected_efficiency(1000.0) == pytest.approx(1.0, abs=1e-4)
-
-    def test_at_age_returns_new_model(self, exp_model):
-        older = exp_model.at_age(500.0)
-        assert older.age == 500.0
-        assert older.distribution is exp_model.distribution
 
 
 class TestHyperexponentialConditioningEffect:

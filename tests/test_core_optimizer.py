@@ -1,9 +1,12 @@
 """Tests for T_opt optimisation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import CheckpointCosts, MarkovIntervalModel, optimize_interval, young_approximation
+from repro.core.optimizer import T_MIN, _resolve_bounds, optimize_intervals_batch
 from repro.distributions import Exponential, Hyperexponential, Weibull
 
 
@@ -69,11 +72,33 @@ class TestOptimizeInterval:
         assert effs[0] > effs[1] > effs[2]
 
     def test_respects_bounds(self):
-        d = Exponential(1.0 / 3000.0)
-        opt = optimize_interval(
-            d, CheckpointCosts.symmetric(100.0), t_min=10.0, t_max=500.0
-        )
-        assert 10.0 <= opt.T_opt <= 500.0
+        # an interior optimum, one pinned at the lower end (free
+        # checkpoints) and an unschedulable cost
+        for d, cost, age in (
+            (Exponential(1.0 / 3000.0), 100.0, 0.0),
+            (Weibull(0.43, 3409.0), 0.0, 3409.0),
+            (Hyperexponential([0.5, 0.5], [1e-2, 1e-4]), 1e9, 50.0),
+        ):
+            opt = optimize_interval(d, CheckpointCosts.symmetric(cost), age=age)
+            t_max = _resolve_bounds(d, d.fingerprint(), age)[0]
+            assert T_MIN <= opt.T_opt <= t_max
+
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_age(self, age):
+        d = Hyperexponential([0.5, 0.5], [1e-2, 1e-4])
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            optimize_interval(d, CheckpointCosts.symmetric(110.0), age=age)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            optimize_intervals_batch(Weibull(0.43, 3409.0), CheckpointCosts.symmetric(110.0), [0.0, age])
+
+    def test_unschedulable_solve_not_converged(self):
+        # a retry never fits before the next failure: every interval has
+        # an infinite expected cost, so nothing converges
+        for d in (Weibull(0.43, 3409.0), Exponential(1.0 / 3000.0)):
+            opt = optimize_interval(d, CheckpointCosts.symmetric(1e9))
+            assert opt.converged is False
+            assert opt.gamma == math.inf
+            assert opt.expected_efficiency == 0.0
 
 
 class TestYoungApproximation:

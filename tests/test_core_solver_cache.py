@@ -10,7 +10,6 @@ from repro.core import (
     SolverCache,
     active_cache,
     optimize_interval,
-    use_solver,
     use_solver_cache,
 )
 from repro.core.solver_cache import DEFAULT_CAPACITY, SNAPSHOT_SCHEMA, SNAPSHOT_VERSION
@@ -30,18 +29,8 @@ def _interval(t=100.0):
     )
 
 
-def _key(i, method="hybrid"):
-    return SolverCache.key(
-        ("Exponential", (("rate", 0.001),)),
-        100.0,
-        100.0,
-        10.0,
-        float(i),
-        1e-3,
-        1e7,
-        1e-6,
-        method,
-    )
+def _key(i):
+    return SolverCache.key(("Exponential", (("rate", 0.001),)), 100.0, 100.0, 10.0, float(i))
 
 
 class TestLRU:
@@ -86,15 +75,12 @@ class TestKey:
     def test_age_quantised_to_nanoseconds(self):
         assert _key(1.0) == SolverCache.key(
             ("Exponential", (("rate", 0.001),)),
-            100.0, 100.0, 10.0, 1.0 + 1e-12, 1e-3, 1e7, 1e-6, "hybrid",
+            100.0, 100.0, 10.0, 1.0 + 1e-12,
         )
 
-    def test_method_distinguishes_entries(self):
-        assert _key(0, "hybrid") != _key(0, "golden")
-
     def test_costs_distinguish_entries(self):
-        a = SolverCache.key(("E", ()), 100.0, 1.0, 1.0, 0.0, 1e-3, 1e7, 1e-6, "hybrid")
-        b = SolverCache.key(("E", ()), 200.0, 1.0, 1.0, 0.0, 1e-3, 1e7, 1e-6, "hybrid")
+        a = SolverCache.key(("E", ()), 100.0, 1.0, 1.0, 0.0)
+        b = SolverCache.key(("E", ()), 200.0, 1.0, 1.0, 0.0)
         assert a != b
 
 
@@ -106,7 +92,7 @@ class TestSnapshots:
         cache.get(_key(0))
         cache.get(_key(9))  # a miss
         snap = cache.as_dict()
-        assert snap["schema"] == "repro.opt.solver_cache/1"
+        assert snap["schema"] == SNAPSHOT_SCHEMA
         other = SolverCache(capacity=8)
         inserted = other.merge_dict(snap)
         assert inserted == 3
@@ -174,16 +160,29 @@ class TestSnapshotVersioning:
         with pytest.raises(ValueError, match="unsupported solver-cache snapshot version"):
             SolverCache().merge_dict(snap)
 
-    def test_forward_compat_missing_version_accepted(self):
-        # snapshots written before the explicit version field carry the
-        # same schema string, which pins the format
+    def test_missing_version_rejected(self):
         cache = SolverCache()
         cache.put(_key(0), _interval())
         snap = cache.as_dict()
         del snap["version"]
         other = SolverCache()
-        assert other.merge_dict(snap) == 1
-        assert other.get(_key(0)) == _interval()
+        with pytest.raises(ValueError, match="unsupported solver-cache snapshot version"):
+            other.merge_dict(snap)
+        assert len(other) == 0
+
+    def test_schema_1_snapshot_rejected_and_cache_unchanged(self, schema_1_snapshot):
+        """A ``/1`` snapshot (9-field keys carrying the search domain and
+        solver method) is refused outright."""
+        snap = schema_1_snapshot
+        cache = SolverCache()
+        cache.put(_key(0), _interval())
+        before = cache.as_dict()
+        with pytest.raises(ValueError, match="not a solver-cache snapshot"):
+            cache.merge_dict(snap)
+        assert cache.as_dict() == before
+
+    def test_key_has_five_fields(self):
+        assert len(_key(0)) == 5
 
     def test_malformed_entry_names_its_index(self):
         snap = SolverCache().as_dict()
@@ -229,11 +228,6 @@ class TestOptimizerIntegration:
             second = optimize_interval(Weibull(0.43, 3409.0), self.COSTS)
             assert cache.hits == 1
             assert second == first
-
-    def test_cache_disabled_inside_use_solver(self):
-        with use_solver(cache=False):
-            assert active_cache() is None
-            optimize_interval(self.DIST, self.COSTS)
 
     def test_metrics_recorded(self):
         with use_solver_cache(SolverCache()), use_metrics() as reg:

@@ -140,8 +140,6 @@ class TestScheduleExtremes:
     def test_zero_checkpoint_cost_schedule(self):
         from repro.core import CheckpointSchedule
 
-        sched = CheckpointSchedule(
-            Exponential(1e-4), CheckpointCosts.symmetric(0.0), t_min=1.0
-        )
-        # with free checkpoints the optimum hits the t_min floor
+        sched = CheckpointSchedule(Exponential(1e-4), CheckpointCosts.symmetric(0.0))
+        # with free checkpoints the optimum hits the T_MIN floor
         assert sched.work_interval(0) <= 2.0

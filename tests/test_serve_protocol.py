@@ -1,6 +1,7 @@
 """Tests for the JSON-lines protocol layer."""
 
 import json
+import math
 
 import pytest
 
@@ -68,6 +69,10 @@ class TestResponses:
         assert response["ok"] is False
         assert response["error"] == {"code": "bad-json", "message": "nope"}
 
+    def test_dumps_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            dumps(ok_response(1, result={"gamma": math.inf}))
+
     def test_dumps_single_line(self):
         text = dumps(ok_response(1, result={"T_opt": 1.0}))
         assert "\n" not in text
@@ -89,6 +94,19 @@ class TestIntervalPayload:
         assert payload["age"] == 5.0
         assert payload["converged"] is True
         assert OptimalInterval(**payload) == opt
+
+    def test_infinite_gamma_written_as_null(self):
+        opt = OptimalInterval(
+            T_opt=1e-3,
+            gamma=math.inf,
+            overhead_ratio=1e300,
+            expected_efficiency=0.0,
+            age=0.0,
+            converged=False,
+        )
+        payload = interval_to_payload(opt)
+        assert payload["gamma"] is None
+        assert json.loads(dumps(payload))["gamma"] is None
 
 
 class TestCosts:
@@ -132,6 +150,13 @@ class TestCosts:
     def test_negative_costs_rejected(self):
         with pytest.raises(ProtocolError):
             costs_from_payload({"checkpoint": -1, "recovery": 1})
+
+    @pytest.mark.parametrize("field", ["checkpoint", "recovery", "latency"])
+    def test_non_finite_costs_rejected(self, field):
+        payload = {"checkpoint": 1.0, "recovery": 1.0, field: math.inf}
+        with pytest.raises(ProtocolError) as err:
+            costs_from_payload(payload)
+        assert err.value.code == "bad-costs"
 
     def test_round_trip(self):
         costs = CheckpointCosts(110.0, 90.0, 5.0)

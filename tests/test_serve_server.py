@@ -3,10 +3,12 @@
 import asyncio
 import io
 import json
+import math
 
 import pytest
 
 from repro.core import CheckpointCosts, SolverCache, optimize_interval, use_solver_cache
+from repro.core.solver_cache import SNAPSHOT_SCHEMA
 from repro.distributions import Exponential, Weibull
 from repro.obs.metrics import use as use_metrics
 from repro.serve.bench import demo_registry
@@ -25,6 +27,10 @@ def _server(**overrides):
     return ScheduleServer(ServerConfig(**overrides), registry=demo_registry())
 
 
+def _reject_constant(constant):
+    raise AssertionError(f"non-JSON constant {constant} in a response")
+
+
 def _ask(server, request):
     return asyncio.run(server.handle_request(request))
 
@@ -41,8 +47,8 @@ class TestConfig:
             {"batch_window_s": -0.1},
             {"max_batch": 0},
             {"snapshot_interval_s": 0.0},
-            {"t_min": 0.0},
-            {"rel_tol": -1.0},
+            {"slow_request_s": 0.0},
+            {"worker_index": -1},
         ],
     )
     def test_bad_values_rejected(self, overrides):
@@ -99,9 +105,46 @@ class TestDispatch:
         assert "campus-exp" in response["error"]["message"]
 
     def test_solve_bad_age(self):
-        for age in (-1.0, "old", None, True):
+        for age in (-1.0, "old", None, True, math.nan, math.inf):
             response = _ask(_server(), {"op": "solve", "pool": "campus-exp", "age": age})
             assert response["error"]["code"] == "bad-request"
+
+    def test_unschedulable_solve_is_strict_json(self):
+        """Costs no interval can commit under, on every demo pool: not
+        converged, and the infinite gamma goes out as ``null``, never
+        ``Infinity``."""
+        pools = [entry.name for entry in demo_registry().entries()]
+        lines = [
+            json.dumps(
+                {
+                    "op": "solve",
+                    "id": pool,
+                    "pool": pool,
+                    "age": 0.0,
+                    "costs": {"checkpoint": 1e9, "recovery": 1e9},
+                }
+            )
+            for pool in pools
+        ]
+        out = io.StringIO()
+        with use_solver_cache(SolverCache()):
+            asyncio.run(_server().run_stdio(lines, out))
+        responses = [
+            json.loads(line, parse_constant=_reject_constant)
+            for line in out.getvalue().splitlines()
+        ]
+        assert len(responses) == len(pools)
+        for response in responses:
+            assert response["ok"] is True
+            assert response["result"]["converged"] is False
+            assert response["result"]["gamma"] is None
+
+    def test_non_finite_id_answered_with_strict_json(self):
+        out = io.StringIO()
+        asyncio.run(_server().run_stdio(['{"op": "ping", "id": NaN}'], out))
+        response = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert response["error"]["code"] == "bad-request"
+        assert "id" not in response
 
     def test_solve_bad_model(self):
         response = _ask(
@@ -438,7 +481,7 @@ class TestSnapshotLifecycle:
             response = _ask(_server(), {"op": "snapshot", "path": path})
         assert response["ok"] is True
         with open(path) as fh:
-            assert json.load(fh)["schema"] == "repro.opt.solver_cache/1"
+            assert json.load(fh)["schema"] == SNAPSHOT_SCHEMA
 
     def test_snapshot_op_without_path_fails(self):
         with use_solver_cache(SolverCache()):
@@ -467,6 +510,18 @@ class TestSnapshotLifecycle:
         path.write_text(json.dumps({"schema": "something/else", "entries": []}))
         with use_solver_cache(SolverCache()):
             assert _server(snapshot_path=str(path)).warm_load() == 0
+
+
+    def test_schema_1_snapshot_is_cold_start(self, tmp_path, schema_1_snapshot):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(schema_1_snapshot))
+        with use_solver_cache(SolverCache()) as cache, use_metrics() as reg:
+            server = _server(snapshot_path=str(path))
+            assert server.warm_load() == 0
+            assert asyncio.run(server._warm_load_async()) == 0
+            assert len(cache) == 0
+            assert cache.hits == 0 and cache.misses == 0
+        assert reg.as_dict()["counters"]["serve.snapshot.load_failures"] == 2.0
 
 
 class TestTCP:
@@ -509,7 +564,7 @@ class TestTCP:
         assert responses["shutdown"]["stopping"] is True
         # the shutdown path wrote a final snapshot
         with open(snapshot) as fh:
-            assert json.load(fh)["schema"] == "repro.opt.solver_cache/1"
+            assert json.load(fh)["schema"] == SNAPSHOT_SCHEMA
 
     def test_pipelined_requests_batch_together(self):
         async def session():

@@ -19,6 +19,7 @@ import signal
 import pytest
 
 from repro.core import CheckpointCosts, SolverCache, optimize_interval, use_solver_cache
+from repro.core.solver_cache import SNAPSHOT_SCHEMA
 from repro.distributions import Weibull
 from repro.obs.metrics import OVERFLOW_COUNTER, MetricsRegistry
 from repro.obs.metrics import use as use_metrics
@@ -126,7 +127,7 @@ class TestSnapshotMerge:
         ]
         assert result.skipped == []
         payload = read_snapshot_payload(base)
-        assert payload["schema"] == "repro.opt.solver_cache/1"
+        assert payload["schema"] == SNAPSHOT_SCHEMA
         merged_cache = SolverCache()
         assert merged_cache.merge_dict(payload) == 3
         # stats-aware: the merged file carries both workers' traffic
@@ -142,7 +143,7 @@ class TestSnapshotMerge:
         foreign = worker_snapshot_path(base, 2)
         _snapshot_with(good, [50.0])
         with open(torn, "w") as fh:
-            fh.write('{"schema": "repro.opt.solver_cache/1", "entr')  # torn write
+            fh.write('{"schema": "%s", "entr' % SNAPSHOT_SCHEMA)  # torn write
         with open(foreign, "w") as fh:
             json.dump({"schema": "not.a.cache/9", "entries": []}, fh)
 
@@ -160,6 +161,35 @@ class TestSnapshotMerge:
         ]
         assert {e["event"] for e in events} == {"snapshot_merge_skipped"}
         assert {e["path"] for e in events} == {torn, foreign}
+
+    def test_schema_1_source_skipped(self, tmp_path, caplog, schema_1_snapshot):
+        """A ``/1`` worker file is skipped loudly; alone it leaves the
+        merged target untouched, beside a ``/2`` file it adds nothing."""
+        base = str(tmp_path / "merged.json")
+        old = worker_snapshot_path(base, 0)
+        with open(old, "w") as fh:
+            json.dump(schema_1_snapshot, fh)
+
+        with caplog.at_level("WARNING", logger="repro.serve"):
+            alone = merge_snapshot_files([old], base)
+        assert alone.written is False and alone.skipped == [old]
+        assert not os.path.exists(base)
+
+        good = worker_snapshot_path(base, 1)
+        expected = _snapshot_with(good, [50.0]).as_dict()
+        with caplog.at_level("WARNING", logger="repro.serve"):
+            result = merge_snapshot_files([old, good], base)
+        assert result.merged == [good] and result.skipped == [old]
+        assert read_snapshot_payload(base)["entries"] == json.loads(
+            json.dumps(expected["entries"])
+        )
+        reasons = [
+            json.loads(r.getMessage())["reason"]
+            for r in caplog.records
+            if r.name == "repro.serve"
+        ]
+        assert len(reasons) == 2
+        assert all("repro.opt.solver_cache/1" in reason for reason in reasons)
 
     def test_missing_sources_are_silent_no_write(self, tmp_path, caplog):
         base = str(tmp_path / "merged.json")
@@ -504,7 +534,7 @@ class TestWorkerPool:
 
             # the rolling shutdown wrote per-worker snapshots and merged
             merged = read_snapshot_payload(base)
-            assert merged["schema"] == "repro.opt.solver_cache/1"
+            assert merged["schema"] == SNAPSHOT_SCHEMA
             assert len(merged["entries"]) > 0
 
             # a rebooted pool warm-loads the merged file into every worker

@@ -26,15 +26,15 @@ from repro.core import (
     MarkovIntervalModel,
     SolverCache,
     optimize_interval,
-    use_solver,
     use_solver_cache,
 )
+from repro.core.markov import MarkovRows
 from repro.core.optimizer import optimize_intervals_batch
 from repro.core.schedule import fill_schedules
 from repro.distributions import Exponential, Hyperexponential, Weibull
 from repro.serve.registry import TenantRegistry
 from repro.serve.server import ScheduleServer, ServerConfig
-from tests.solver_oracle import minimize_positive_hybrid
+from tests.solver_oracle import minimize_positive_hybrid, use_golden_solver
 
 REL_BUDGET = 1e-9
 
@@ -59,6 +59,11 @@ CASES = {
 #: flat, deep-tail optimum where solves entered from different brackets
 #: land 3e-6 apart, so only bitwise paths agree
 SWEEP_FIT = (Weibull(0.34861678622050735, 834.6982882412103), 5.179e5, CheckpointCosts.symmetric(50.0))
+
+
+def _one_row(dist, age, costs=COSTS):
+    """The one-row :class:`MarkovRows` of ``(dist, costs, age)``."""
+    return MarkovRows(dist, [age], [costs.checkpoint], [costs.recovery], [costs.latency])
 
 
 def _cold(dist, age, costs=COSTS):
@@ -105,9 +110,10 @@ class TestGoldenMaster:
         dist, ages = CASES[name]
         for age in ages:
             model = MarkovIntervalModel(dist, COSTS, age)
+            row = _one_row(dist, age)
             oracle = minimize_positive_hybrid(
                 model.overhead_ratio,
-                func_batch=model.overhead_ratio_batch,
+                func_batch=lambda T, row=row: row.overhead_ratio(T[None, :])[0],
                 guess=1000.0,
                 lo=1e-3,
                 hi=min(max(1e4 * float(dist.mean_residual_life(age)), 1e6), 1e9),
@@ -119,7 +125,7 @@ class TestGoldenMaster:
         dist, ages = CASES[name]
         for age in ages:
             hybrid = _cold(dist, age)
-            with use_solver(method="golden", cache=False):
+            with use_golden_solver():
                 golden = optimize_interval(dist, COSTS, age=age)
             # the two refine to the *solver* tolerance, not the polish's
             assert hybrid.T_opt == pytest.approx(golden.T_opt, rel=5e-5)
@@ -136,11 +142,13 @@ _Ts = st.lists(
 
 
 class TestBatchedObjective:
+    """A one-row :class:`MarkovRows` against the scalar model."""
+
     @given(_dists, _ages, _Ts)
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_scalar_pointwise(self, dist, age, Ts):
         model = MarkovIntervalModel(dist, COSTS, age)
-        batch = model.overhead_ratio_batch(np.asarray(Ts))
+        batch = _one_row(dist, age).overhead_ratio(np.asarray([Ts]))[0]
         for t, b in zip(Ts, batch, strict=True):
             scalar = model.overhead_ratio(t)
             if math.isfinite(scalar):
@@ -152,7 +160,7 @@ class TestBatchedObjective:
     @settings(max_examples=100, deadline=None)
     def test_gamma_batch_matches_scalar(self, dist, age, Ts):
         model = MarkovIntervalModel(dist, COSTS, age)
-        batch = model.gamma_batch(np.asarray(Ts))
+        batch = _one_row(dist, age).gamma(np.asarray([Ts]))[0]
         for t, b in zip(Ts, batch, strict=True):
             scalar = model.gamma(t)
             if math.isfinite(scalar):
@@ -160,16 +168,11 @@ class TestBatchedObjective:
             else:
                 assert not math.isfinite(b)
 
-    def test_batch_rejects_nonpositive(self):
-        model = MarkovIntervalModel(Exponential(1e-3), COSTS, 0.0)
-        with pytest.raises(ValueError):
-            model.gamma_batch(np.asarray([100.0, -1.0]))
-
     def test_scalar_input_gives_length_one(self):
         model = MarkovIntervalModel(Exponential(1e-3), COSTS, 0.0)
-        out = model.overhead_ratio_batch(123.0)
-        assert out.shape == (1,)
-        assert float(out[0]) == pytest.approx(model.overhead_ratio(123.0), rel=1e-12)
+        out = _one_row(Exponential(1e-3), 0.0).overhead_ratio(np.asarray([[123.0]]))
+        assert out.shape == (1, 1)
+        assert float(out[0, 0]) == pytest.approx(model.overhead_ratio(123.0), rel=1e-12)
 
 
 # ----------------------------------------------------------------------
