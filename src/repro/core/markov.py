@@ -39,14 +39,41 @@ efficiency.
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.distributions.base import ArrayLike, AvailabilityDistribution, CdfPeKernel, FloatArray
+from repro.distributions.base import (
+    ArrayLike,
+    AvailabilityDistribution,
+    CdfPeKernel,
+    FloatArray,
+    _per_row,
+)
+from repro.distributions.conditional import ConditionalDistribution
 from repro.distributions.exponential import Exponential
 
 __all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel", "MarkovRows"]
+
+#: each distribution's unconditional ``(F, PE)`` kernel (the state-2 pair
+#: of every solve on it), built on its first solve
+_UNCONDITIONAL: weakref.WeakKeyDictionary[AvailabilityDistribution, CdfPeKernel] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _unconditional_kernel(distribution: AvailabilityDistribution) -> CdfPeKernel:
+    try:
+        kernel = _UNCONDITIONAL.get(distribution)
+    except TypeError:  # an unhashable subclass: built per solve
+        return type(distribution).family_kernel([distribution], np.zeros(1))
+    if kernel is None:
+        kernel = _UNCONDITIONAL[distribution] = type(distribution).family_kernel(
+            [distribution], np.zeros(1)
+        )
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -192,29 +219,37 @@ class MarkovIntervalModel:
 
 
 class MarkovRows:
-    """Eq. 11 on ``(rows x abscissae)`` arrays: one (age, C, R, L) per row.
+    """Eq. 11 on ``(rows x abscissae)`` arrays: one (distribution, age, C,
+    R, L) per row.
 
     The row solver's objective.  Row ``i`` of :meth:`gamma` evaluates
-    the three-state model of ``(distribution, costs[i], ages[i])`` at
-    every work interval in ``T[i]``.  The distribution is touched only
-    through two fused kernels built once
-    (:meth:`~repro.distributions.base.AvailabilityDistribution.cdf_pe_kernel`):
-    the future-lifetime ``(F, PE)`` at each row's age for the state-0
-    transitions, and the unconditional pair for the state-2 ones.  Every
-    operation is elementwise within a row, so a row's values do not depend
-    on the rows beside it.
+    the three-state model of ``(distributions[i], costs[i], ages[i])`` at
+    every work interval in ``T[i]``; ``distributions`` is one
+    distribution shared by every row or one per row.  The distributions
+    are touched only through fused kernels built once
+    (:meth:`~repro.distributions.base.AvailabilityDistribution.family_kernel`):
+    rows are grouped into contiguous blocks whose distributions share a
+    :meth:`~repro.distributions.base.AvailabilityDistribution.kernel_family`
+    (all Weibull fits, say), and each block gets the future-lifetime
+    ``(F, PE)`` at its rows' ages for the state-0 transitions and the
+    unconditional pair for the state-2 ones.  Every operation is
+    elementwise within a row, so a row's values do not depend on the rows
+    beside it, nor on which block holds it.
     """
 
-    __slots__ = ("_checkpoint", "_restart", "_state0", "_state2")
+    __slots__ = ("_blocks", "_checkpoint", "_restart", "_same_horizon", "_whole")
 
     _checkpoint: FloatArray
     _restart: FloatArray
-    _state0: CdfPeKernel
-    _state2: CdfPeKernel | None
+    #: (rows, state-0 kernel, state-2 kernel or None when it equals state 0)
+    _blocks: list[tuple[slice, CdfPeKernel, CdfPeKernel | None]]
+    #: L + R equals C on every row, so the two horizons are one array
+    _same_horizon: bool
+    _whole: bool
 
     def __init__(
         self,
-        distribution: AvailabilityDistribution,
+        distributions: AvailabilityDistribution | Sequence[AvailabilityDistribution],
         ages: ArrayLike,
         checkpoint: ArrayLike,
         recovery: ArrayLike,
@@ -227,33 +262,113 @@ class MarkovRows:
         self._restart = (
             np.asarray(latency, dtype=np.float64) + np.asarray(recovery, dtype=np.float64)
         ).reshape(-1, 1)
-        self._state0 = distribution.cdf_pe_kernel(a)
-        # when the restart horizon L + R equals the checkpoint horizon C,
-        # a fresh resource (age 0) or a memoryless one sees the same pair
-        # in both states -- every gang solve, every exponential solve and
-        # the first interval of any schedule with C = R
-        fresh = isinstance(distribution, Exponential) or not bool(np.any(a))
-        same = fresh and bool(np.array_equal(self._checkpoint, self._restart))
-        self._state2 = None if same else distribution.cdf_pe_kernel(np.zeros(1))
-
-    def gamma(self, T: FloatArray) -> FloatArray:
-        """Expected time from state 0 to state 1 for each row's candidates."""
-        h0 = self._checkpoint + T
-        f0, pe0 = self._state0(h0)
-        if self._state2 is None:
-            h2, f2, pe2 = h0, f0, pe0
+        self._same_horizon = bool((self._checkpoint == self._restart).all())
+        if isinstance(distributions, AvailabilityDistribution):
+            self._blocks = [self._block([distributions], a, slice(0, a.size))]
         else:
-            h2 = self._restart + T
-            f2, pe2 = self._state2(h2)
+            rows = list(distributions)
+            if len(rows) != a.size:
+                raise ValueError(f"got {len(rows)} distributions for {a.size} ages")
+            families: dict[int, Hashable] = {}
+            for d in rows:
+                if id(d) not in families:
+                    families[id(d)] = d.kernel_row(0.0)[0].kernel_family()
+            keys = [families[id(d)] for d in rows]
+            self._blocks = []
+            start = 0
+            while start < a.size:
+                stop = start + 1
+                while stop < a.size and keys[stop] == keys[start]:
+                    stop += 1
+                block = rows[start:stop]
+                if all(d is block[0] for d in block):
+                    block = block[:1]
+                self._blocks.append(self._block(block, a[start:stop], slice(start, stop)))
+                start = stop
+        self._whole = len(self._blocks) == 1
+
+    def _block(
+        self, dists: list[AvailabilityDistribution], ages: FloatArray, rows: slice
+    ) -> tuple[slice, CdfPeKernel, CdfPeKernel | None]:
+        """The state-0 and state-2 kernels of one family block; ``dists``
+        is one distribution per row, or one standing for every row."""
+        if any(isinstance(d, ConditionalDistribution) for d in dists):
+            # a conditional distribution's rows are its base's at the
+            # summed ages
+            rows0 = [d.kernel_row(float(x)) for d, x in zip(_per_row(dists, ages.size), ages, strict=True)]
+            rows2 = [d.kernel_row(0.0) for d in _per_row(dists, ages.size)]
+            dists = [d for d, _ in rows0]
+            if all(d is dists[0] for d in dists):
+                dists = dists[:1]
+            ages0 = np.array([x for _, x in rows0])
+            ages2 = np.array([x for _, x in rows2])
+        else:
+            ages0, ages2 = ages, np.zeros(len(dists))
+        family = type(dists[0])
+        state0 = family.family_kernel(dists, ages0)
+        # when the restart horizon L + R equals the checkpoint horizon C,
+        # a fresh resource (state-0 age = state-2 age) or a memoryless one
+        # sees the same pair in both states -- every gang solve, every
+        # exponential solve and the first interval of any schedule with
+        # C = R
+        fresh = issubclass(family, Exponential) or bool((ages0 == ages2).all())
+        if fresh and (self._same_horizon or bool((self._checkpoint[rows] == self._restart[rows]).all())):
+            return rows, state0, None
+        if len(dists) == 1 and not bool(np.any(ages2)):
+            return rows, state0, _unconditional_kernel(dists[0])
+        return rows, state0, family.family_kernel(dists, ages2)
+
+    def evaluate(self, T: FloatArray) -> FloatArray:
+        """:meth:`gamma` without its ``np.errstate``: the solver enters
+        that once per solve call, not once per pass."""
+        h0 = self._checkpoint + T
+        h2 = h0 if self._same_horizon else self._restart + T
+        if self._whole:
+            _, state0, state2 = self._blocks[0]
+            f0, pe0 = state0(h0)
+            f2, pe2 = (f0, pe0) if state2 is None else state2(h2)
+        else:
+            f0, pe0 = np.empty_like(h0), np.empty_like(h0)
+            f2, pe2 = np.empty_like(h0), np.empty_like(h0)
+            for rows, state0, state2 in self._blocks:
+                f0[rows], pe0[rows] = state0(h0[rows])
+                if state2 is None:
+                    # the block's L + R equals its C: h2 is h0 on its rows
+                    f2[rows], pe2[rows] = f0[rows], pe0[rows]
+                else:
+                    f2[rows], pe2[rows] = state2(h2[rows])
         # K02 * P02 = min(PE0, F0 * h0): the truncated mean never exceeds
         # its horizon (round-off in PE could push it past).  P21 = 0 (a
         # failure is certain before any retry completes) leaves an
         # infinite or NaN retry cost: the interval can never commit.
+        # (in place where an operand is a fresh temporary: the same
+        # floats, in fewer live arrays on a wide solve)
+        k0 = f0 * h0
+        np.minimum(pe0, k0, out=k0)
+        p01 = 1.0 - f0
+        if f2 is f0:
+            # one pair for both states (so h2 is h0): K22 P22 and P21 are
+            # K02 P02 and P01
+            retry = k0 / p01
+        else:
+            k2 = f2 * h2
+            np.minimum(pe2, k2, out=k2)
+            retry = np.divide(k2, 1.0 - f2, out=k2)
+        retry += h2
+        retry *= f0
+        inner: FloatArray = np.multiply(p01, h0, out=p01)
+        inner += k0
+        inner += retry
+        # F0 = 0: the interval cannot fail, Gamma = K01 = h0
+        certain = f0 <= 0.0
+        if certain.any():
+            np.copyto(inner, h0, where=certain)
+        return inner
+
+    def gamma(self, T: FloatArray) -> FloatArray:
+        """Expected time from state 0 to state 1 for each row's candidates."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            retry = np.minimum(pe2, f2 * h2) / (1.0 - f2) + h2
-            inner = (1.0 - f0) * h0 + np.minimum(pe0, f0 * h0) + f0 * retry
-        out: FloatArray = np.where(f0 <= 0.0, h0, inner)
-        return out
+            return self.evaluate(T)
 
     def overhead_ratio(self, T: FloatArray) -> FloatArray:
         """``Gamma(T) / T`` for each row's candidates."""

@@ -31,7 +31,7 @@ process-global :class:`~repro.core.solver_cache.SolverCache` keyed on
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import cast
 
@@ -40,7 +40,7 @@ import numpy as np
 from repro.core.markov import CheckpointCosts, MarkovIntervalModel, MarkovRows
 from repro.core.solver_cache import SolverCache, active_cache
 from repro.distributions.base import AvailabilityDistribution, FloatArray
-from repro.numerics.optimize import minimize_positive_scalar, minimize_rows
+from repro.numerics.optimize import _minimize_rows, minimize_positive_scalar
 from repro.obs.metrics import active as _metrics
 
 __all__ = [
@@ -102,28 +102,41 @@ def _resolve_bounds(
     fingerprint: tuple[object, ...],
     age: float,
 ) -> tuple[float, float]:
-    """``(t_max, mean residual life)`` for one (distribution, age).
+    """``(t_max, mean residual life)`` for one (distribution, age)."""
+    return _resolve_bounds_many(distribution, fingerprint, [age])[0]
 
-    One ``mean_residual_life`` evaluation per (fingerprint, age): the
-    search bound is ``1e4`` times it (clamped to ``[1e6, 1e9]`` s), and
-    Young's seed for the golden-section fallback reads it too.  Only
-    cache misses need it; memoised so the misses of one (fingerprint,
-    age) at different costs, and the fallback's seed, pay it once (for
-    heavy-tailed families the call is costly); the memoised pair is the
-    same floats the direct computation produces.
+
+def _resolve_bounds_many(
+    distribution: AvailabilityDistribution,
+    fingerprint: tuple[object, ...],
+    ages: Sequence[float],
+) -> list[tuple[float, float]]:
+    """``(t_max, mean residual life)`` at each age of one distribution.
+
+    One mean residual life per (fingerprint, age): the search bound is
+    ``1e4`` times it (clamped to ``[1e6, 1e9]`` s), and Young's seed for
+    the golden-section fallback reads it too.  Only cache misses need it;
+    memoised so the misses of one (fingerprint, age) at different costs,
+    and the fallback's seed, pay it once.  The ages the memo lacks take
+    one array ``mean_residual_life`` call when the family's array form is
+    its scalar calls bitwise (the paper families, whose solves fill whole
+    schedules), else one scalar call each; the memoised pair is the same
+    floats either way.
     """
-    memo_key = (fingerprint, age)
-    cached = _TMAX_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    mrl = float(distribution.mean_residual_life(age))
-    if not math.isfinite(mrl) or mrl <= 0.0:
-        mrl = max(distribution.mean(), 1.0)
-    bounds = (min(max(1e4 * mrl, 1e6), 1e9), mrl)
-    if len(_TMAX_MEMO) >= _TMAX_MEMO_CAPACITY:
-        _TMAX_MEMO.clear()
-    _TMAX_MEMO[memo_key] = bounds
-    return bounds
+    found = {a: _TMAX_MEMO.get((fingerprint, a)) for a in ages}
+    missing = [a for a, bounds in found.items() if bounds is None]
+    if missing:
+        if distribution.elementwise_mrl:
+            mrls = np.asarray(distribution.mean_residual_life(np.array(missing))).tolist()
+        else:
+            mrls = [float(distribution.mean_residual_life(a)) for a in missing]
+        if len(_TMAX_MEMO) + len(missing) > _TMAX_MEMO_CAPACITY:
+            _TMAX_MEMO.clear()
+        for age, mrl in zip(missing, mrls, strict=True):
+            if not math.isfinite(mrl) or mrl <= 0.0:
+                mrl = max(distribution.mean(), 1.0)
+            found[age] = _TMAX_MEMO[(fingerprint, age)] = (min(max(1e4 * mrl, 1e6), 1e9), mrl)
+    return [cast("tuple[float, float]", found[a]) for a in ages]
 
 
 def optimize_interval(
@@ -151,20 +164,24 @@ def optimize_interval(
 
 
 def optimize_intervals_batch(
-    distribution: AvailabilityDistribution,
+    distribution: AvailabilityDistribution | Sequence[AvailabilityDistribution],
     costs: CheckpointCosts | Sequence[CheckpointCosts],
     ages: Iterable[float],
 ) -> list[OptimalInterval]:
-    """Solve one distribution at many (costs, elapsed uptime) rows.
+    """Solve many (distribution, costs, elapsed uptime) rows together.
 
-    ``costs`` is one :class:`CheckpointCosts` shared by every row or one
-    per age.  Each row is looked up in the active solver cache, duplicate
-    rows are solved once, and every miss is solved together as rows of
-    one :func:`~repro.numerics.optimize.minimize_rows` call, six vectorised
-    passes over a ``(rows x abscissae)`` array.  This is what the
-    lock-step schedule fill (one call per step across every schedule of a
-    fitted model) and the ``repro serve`` micro-batcher (one call per
-    burst of queries on a model) run.
+    ``distribution`` is one fitted model shared by every row or one per
+    age, and ``costs`` one :class:`CheckpointCosts` shared by every row or
+    one per age.  Each row is looked up in the active solver cache under
+    its own distribution's fingerprint, duplicate rows are solved once,
+    and every miss is solved together as rows of one
+    :func:`~repro.numerics.optimize.minimize_rows` call, six vectorised
+    passes over a ``(rows x abscissae)`` array whose rows may belong to
+    many fitted models (:class:`~repro.core.markov.MarkovRows` evaluates
+    each model family as one block).  This is what the lock-step schedule
+    fill (one call per step across every schedule of a study) and the
+    ``repro serve`` micro-batcher (one call per burst of queries on a
+    model) run.
 
     A row's result is bitwise independent of the other rows in the
     call: the row solver's passes are elementwise within a row, so the
@@ -177,22 +194,28 @@ def optimize_intervals_batch(
     non-negative.
     """
     ages = [float(a) for a in ages]
+    n = len(ages)
     if isinstance(costs, CheckpointCosts):
-        row_costs = [costs] * len(ages)
+        row_costs = [costs] * n
     else:
         row_costs = list(costs)
-        if len(row_costs) != len(ages):
-            raise ValueError(f"got {len(row_costs)} cost sets for {len(ages)} ages")
+        if len(row_costs) != n:
+            raise ValueError(f"got {len(row_costs)} cost sets for {n} ages")
+    if isinstance(distribution, AvailabilityDistribution):
+        row_dists = [distribution] * n
+    else:
+        row_dists = list(distribution)
+        if len(row_dists) != n:
+            raise ValueError(f"got {len(row_dists)} distributions for {n} ages")
     if not all(0.0 <= a < math.inf for a in ages):
         raise ValueError("age must be finite and non-negative")
     cache = active_cache()
-    fingerprint = distribution.fingerprint()
-    out: list[OptimalInterval | None] = [None] * len(ages)
-    misses: list[tuple[int, tuple[object, ...], CheckpointCosts, float]] = []
+    out: list[OptimalInterval | None] = [None] * n
+    misses: list[tuple[int, tuple[object, ...], AvailabilityDistribution, CheckpointCosts, float]] = []
     duplicates: list[tuple[int, int]] = []
     first: dict[tuple[object, ...], int] = {}
-    for i, (c, a) in enumerate(zip(row_costs, ages, strict=True)):
-        key = SolverCache.key(fingerprint, c.checkpoint, c.recovery, c.latency, a)
+    for i, (dist, c, a) in enumerate(zip(row_dists, row_costs, ages, strict=True)):
+        key = SolverCache.key(dist.fingerprint(), c.checkpoint, c.recovery, c.latency, a)
         j = first.get(key)
         if j is not None:
             duplicates.append((i, j))
@@ -202,12 +225,31 @@ def optimize_intervals_batch(
         if hit is not None:
             out[i] = hit
         else:
-            misses.append((i, key, c, a))
+            misses.append((i, key, dist, c, a))
     if misses:
-        rows = [
-            (c, a, _resolve_bounds(distribution, fingerprint, a)[0]) for _, _, c, a in misses
-        ]
-        solved = _solve_rows(distribution, fingerprint, rows)
+        # one kernel block per model family (rows in order within it) and
+        # one bounds call per fitted model
+        family_rank: dict[Hashable, int] = {}
+        model_rank: dict[int, int] = {}
+        for m in misses:
+            if id(m[2]) not in model_rank:
+                family = m[2].kernel_row(0.0)[0].kernel_family()
+                model_rank[id(m[2])] = family_rank.setdefault(family, len(family_rank))
+        if len(family_rank) > 1:
+            misses.sort(key=lambda m: model_rank[id(m[2])])
+        models: dict[int, list[int]] = {}
+        for k, m in enumerate(misses):
+            models.setdefault(id(m[2]), []).append(k)
+        bounds = [0.0] * len(misses)
+        for ks in models.values():
+            dist = misses[ks[0]][2]
+            resolved = _resolve_bounds_many(dist, dist.fingerprint(), [misses[k][4] for k in ks])
+            for k, (t_max, _) in zip(ks, resolved, strict=True):
+                bounds[k] = t_max
+        solved = _solve_rows(
+            [(d, c, a, b) for (_, _, d, c, a), b in zip(misses, bounds, strict=True)],
+            lone=len(models) == 1,
+        )
         for (i, key, *_), opt in zip(misses, solved, strict=True):
             out[i] = opt
             if cache is not None:
@@ -255,37 +297,43 @@ def _solve_scalar(
 
 
 def _solve_rows(
-    distribution: AvailabilityDistribution,
-    fingerprint: tuple[object, ...],
-    rows: list[tuple[CheckpointCosts, float, float]],
+    rows: list[tuple[AvailabilityDistribution, CheckpointCosts, float, float]],
+    *,
+    lone: bool,
 ) -> list[OptimalInterval]:
-    """Solve ``(costs, age, t_max)`` rows of one distribution together."""
-    ages = np.array([a for _, a, _ in rows])
-    model = MarkovRows(
-        distribution,
-        ages,
-        [c.checkpoint for c, _, _ in rows],
-        [c.recovery for c, _, _ in rows],
-        [c.latency for c, _, _ in rows],
-    )
+    """Solve ``(distribution, costs, age, t_max)`` rows together; ``lone``
+    when every row's distribution is one object."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        model = MarkovRows(
+            rows[0][0] if lone else [d for d, _, _, _ in rows],
+            [a for _, _, a, _ in rows],
+            [c.checkpoint for _, c, _, _ in rows],
+            [c.recovery for _, c, _, _ in rows],
+            [c.latency for _, c, _, _ in rows],
+        )
 
-    def objective(T: FloatArray) -> FloatArray:
-        ratio = model.overhead_ratio(T)
-        out: FloatArray = np.where(np.isfinite(ratio), ratio, _SENTINEL)
-        return out
+        def objective(T: FloatArray) -> FloatArray:
+            ratio = model.evaluate(T)
+            ratio /= T
+            finite = np.isfinite(ratio)
+            if finite.all():
+                return ratio
+            out: FloatArray = np.where(finite, ratio, _SENTINEL)
+            return out
 
-    res = minimize_rows(
-        objective, np.full(len(rows), T_MIN), np.array([b for _, _, b in rows])
-    )
+        # the domains are valid by construction: T_MIN < 1e6 <= t_max
+        res = _minimize_rows(objective, np.full(len(rows), T_MIN), np.array([b for *_, b in rows]))
     out: list[OptimalInterval] = []
     reg = _metrics()
-    for i, (c, a, bound) in enumerate(rows):
-        if res.bracketed[i]:
-            out.append(_interval(float(res.x[i]), float(res.fx[i]), a, True))
+    for (dist, c, a, bound), x, fx, bracketed in zip(
+        rows, res.x.tolist(), res.fx.tolist(), res.bracketed.tolist(), strict=True
+    ):
+        if bracketed:
+            out.append(_interval(x, fx, a, True))
             continue
         # no interior grid minimum (monotone objective, edge plateau):
         # the robust scalar path settles it
         if reg is not None:
             reg.inc("numerics.hybrid.cold_fallbacks")
-        out.append(_solve_scalar(distribution, fingerprint, c, a, bound))
+        out.append(_solve_scalar(dist, dist.fingerprint(), c, a, bound))
     return out

@@ -11,9 +11,9 @@ after which a fresh schedule is computed.
 
 :class:`CheckpointSchedule` materialises the sequence lazily and caches
 it, since the trace simulator asks for the same prefixes over and over.
-:func:`fill_schedules` advances many schedules of one fitted model in
-lock-step -- one batched solve per step across all of them -- each only
-as far as its replay budget needs.
+:func:`fill_schedules` advances many schedules in lock-step -- one
+batched solve per step across all of them, whatever their fitted models
+-- each only as far as its replay budget needs.
 """
 
 from __future__ import annotations
@@ -190,15 +190,22 @@ class CheckpointSchedule:
         # T + C + L after interval i did
         return self._ages[-1] + self._intervals[-1].T_opt + self.costs.checkpoint + self.costs.latency
 
-    def _reuse(self) -> OptimalInterval | None:
-        """Append the next interval without a solve when the tail is known
-        (memoryless model, or converged schedule); returns it, else None."""
+    def _known_tail(self) -> tuple[str, OptimalInterval] | None:
+        """The interval every later index repeats, when the tail is known
+        (memoryless model, or converged schedule), with its kind."""
         if self._memoryless and self._intervals:
-            kind, opt = "memoryless", self._intervals[0]
-        elif self._converged_at is not None:
-            kind, opt = "converged", self._intervals[-1]
-        else:
+            return "memoryless", self._intervals[0]
+        if self._converged_at is not None:
+            return "converged", self._intervals[-1]
+        return None
+
+    def _reuse(self) -> OptimalInterval | None:
+        """Append the next interval without a solve when the tail is known;
+        returns it, else None."""
+        tail = self._known_tail()
+        if tail is None:
             return None
+        kind, opt = tail
         age = self._next_age()
         self._intervals.append(opt)
         self._ages.append(age)
@@ -209,6 +216,33 @@ class CheckpointSchedule:
         if trace is not None:
             trace.point("opt", "cache_hit", ts=age, args={"kind": kind})
         return opt
+
+    def _reuse_until(self, total: float, budget: float, overhead: float) -> float:
+        """Append known-tail intervals (as :meth:`_reuse` does, one by one)
+        while the covered ``total`` of ``T + overhead`` stays within
+        ``budget`` and the schedule below :data:`MAX_FILL_LENGTH`;
+        returns the new total.  Stops early when the next interval needs
+        a solve."""
+        tail = self._known_tail()
+        if tail is None:
+            return total
+        kind, opt = tail
+        intervals, ages = self._intervals, self._ages
+        step = opt.T_opt + overhead
+        trace = _trace_active()
+        appended = 0
+        while total <= budget and len(intervals) < MAX_FILL_LENGTH:
+            age = ages[-1] + intervals[-1].T_opt + self.costs.checkpoint + self.costs.latency
+            intervals.append(opt)
+            ages.append(age)
+            if trace is not None:
+                trace.point("opt", "cache_hit", ts=age, args={"kind": kind})
+            total += step
+            appended += 1
+        reg = _metrics()
+        if reg is not None and appended:
+            reg.inc(f"schedule.reuses.{kind}", appended)
+        return total
 
     def _append_solved(self, opt: OptimalInterval, age: float) -> None:
         idx = len(self._intervals)
@@ -231,12 +265,12 @@ class CheckpointSchedule:
 
 
 def _solve_next(schedules: Sequence[CheckpointSchedule]) -> None:
-    """Solve the next interval of every schedule (one distribution) with
-    one batched solve."""
+    """Solve the next interval of every schedule, whatever its fitted
+    model, with one batched solve."""
     ages = [sched._next_age() for sched in schedules]
     wall0 = time.perf_counter()
     solved = optimize_intervals_batch(
-        schedules[0].distribution, [sched.costs for sched in schedules], ages
+        [sched.distribution for sched in schedules], [sched.costs for sched in schedules], ages
     )
     wall = time.perf_counter() - wall0
     reg = _metrics()
@@ -260,16 +294,17 @@ def fill_schedules(
     budgets: Sequence[float],
     overheads: Sequence[float],
 ) -> list[int]:
-    """Advance schedules of one fitted model in lock-step until each covers
-    its budget; returns each one's covering length (see
+    """Advance schedules in lock-step until each covers its budget;
+    returns each one's covering length (see
     :meth:`CheckpointSchedule.cover`).
 
     Each step solves the next interval of every schedule still short of
     its budget in one :func:`~repro.core.optimizer.optimize_intervals_batch`
-    call, so a step costs about one solve however many schedules share
-    it.  A schedule stops at the first interval whose cumulative
-    ``T + overhead`` exceeds its budget; memoryless and converged tails
-    are appended without solves.  The intervals are the ones the lazy
+    call, whatever fitted models the schedules follow, so a step costs
+    about one solve however many schedules share it and a fill takes as
+    many steps as its longest chain.  A schedule stops at the first
+    interval whose cumulative ``T + overhead`` exceeds its budget;
+    memoryless and converged tails are appended without solves.  The intervals are the ones the lazy
     per-interval path would produce: every row of a batched solve is
     bitwise the lone solve.  No schedule grows past
     :data:`MAX_FILL_LENGTH` intervals.
@@ -278,9 +313,6 @@ def fill_schedules(
         raise ValueError("need one budget and one overhead per schedule")
     if not schedules:
         return []
-    distribution = schedules[0].distribution
-    if any(sched.distribution is not distribution for sched in schedules):
-        raise ValueError("lock-step schedules must share one distribution object")
     totals: list[float] = []
     for sched, overhead in zip(schedules, overheads, strict=True):
         total = 0.0
@@ -294,13 +326,12 @@ def fill_schedules(
     while live:
         solve: list[int] = []
         for j in live:
-            sched = schedules[j]
-            while short(j):
-                opt = sched._reuse()
-                if opt is None:
-                    solve.append(j)
-                    break
-                totals[j] += opt.T_opt + overheads[j]
+            # a live schedule is short; a known tail may cover it
+            if schedules[j]._known_tail() is not None:
+                totals[j] = schedules[j]._reuse_until(totals[j], budgets[j], overheads[j])
+                if not short(j):
+                    continue
+            solve.append(j)
         if solve:
             _solve_next([schedules[j] for j in solve])
             for j in solve:

@@ -213,24 +213,30 @@ class SolverCache:
                 f"(this build reads version {SNAPSHOT_VERSION}); regenerate the "
                 "snapshot with SolverCache.as_dict()"
             )
-        inserted = 0
+        # every entry and counter is parsed before the first insertion,
+        # so a malformed one leaves the cache as it was
+        parsed: list[tuple[SolverCacheKey, OptimalInterval]] = []
         for index, item in enumerate(data.get("entries", [])):
             try:
                 raw_key, raw_value = item
-                key = _freeze(raw_key)
-                if key in self._entries:
-                    continue
-                entry = OptimalInterval(**raw_value)
+                parsed.append((_freeze(raw_key), OptimalInterval(**raw_value)))
             except (TypeError, ValueError) as exc:
                 raise ValueError(
                     f"malformed solver-cache snapshot entry {index}: {exc}"
                 ) from exc
-            self.put(key, entry)
-            inserted += 1
+        try:
+            counters = [int(data.get(name, 0)) for name in ("hits", "misses", "evictions")]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed solver-cache snapshot counters: {exc}") from exc
+        inserted = 0
+        for key, entry in parsed:
+            if key not in self._entries:
+                self.put(key, entry)
+                inserted += 1
         if stats:
-            self.hits += int(data.get("hits", 0))
-            self.misses += int(data.get("misses", 0))
-            self.evictions += int(data.get("evictions", 0))
+            self.hits += counters[0]
+            self.misses += counters[1]
+            self.evictions += counters[2]
         return inserted
 
     def merge(self, other: "SolverCache") -> int:

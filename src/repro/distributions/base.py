@@ -20,7 +20,7 @@ otherwise, so the hot paths of the trace simulator can stay vectorised.
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +50,13 @@ CdfPeKernel = Callable[[FloatArray], tuple[FloatArray, FloatArray]]
 #: survival curve is resolved whatever its time scale
 _DOUBLINGS = 2.0 ** np.arange(-20.0, 51.0)
 
-__all__ = ["AvailabilityDistribution", "ArrayLike", "CdfPeKernel", "FloatArray", "ScalarOrArray"]
+__all__ = [
+    "ArrayLike",
+    "AvailabilityDistribution",
+    "CdfPeKernel",
+    "FloatArray",
+    "ScalarOrArray",
+]
 
 
 def _prepare(x: ArrayLike) -> tuple[FloatArray, bool]:
@@ -63,11 +69,38 @@ def _finish(arr: FloatArray, scalar: bool) -> ScalarOrArray:
     return float(arr) if scalar else arr
 
 
+def _per_row(dists: Sequence[AvailabilityDistribution], rows: int) -> Sequence[AvailabilityDistribution]:
+    """``dists`` with one instance standing for every row expanded."""
+    return list(dists) * rows if len(dists) == 1 else dists
+
+
+def _conditional_rows_kernel(conds: Sequence[AvailabilityDistribution]) -> CdfPeKernel:
+    """The generic kernel: row ``i`` evaluates the array-form ``cdf`` and
+    ``partial_expectation`` of ``conds[i]`` (one row's future-lifetime
+    distribution)."""
+
+    def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
+        F = np.empty_like(x)
+        PE = np.empty_like(x)
+        for i in range(x.shape[0]):
+            cond = conds[i] if len(conds) > 1 else conds[0]
+            F[i] = cond.cdf(x[i])
+            PE[i] = cond.partial_expectation(x[i])
+        return F, PE
+
+    return kernel
+
+
 class AvailabilityDistribution(abc.ABC):
     """A parametric model of machine-availability durations on ``[0, inf)``."""
 
     #: short identifier used in tables ("exponential", "weibull", ...)
     name: str = "abstract"
+
+    #: whether :meth:`mean_residual_life` on an array gives, element by
+    #: element, bitwise the scalar calls (so the optimizer may resolve a
+    #: call's search bounds in one array call)
+    elementwise_mrl: bool = False
 
     # ------------------------------------------------------------------
     # primitives each family must provide (array-in / array-out)
@@ -220,28 +253,45 @@ class AvailabilityDistribution(abc.ABC):
         ``ages`` holds one elapsed uptime per row (or a single age shared
         by every row); the returned kernel maps a ``(rows, n)`` array of
         non-negative abscissae to the conditional distribution function
-        and partial expectation of each row's age.  This is the Markov
-        row objective's only contact with the distribution
-        (:class:`~repro.core.markov.MarkovRows`).
+        and partial expectation of each row's age.  This is this
+        instance's :meth:`family_kernel`, the same code that evaluates
+        rows of many instances of one family together.
+        """
+        return self.family_kernel([self], np.ravel(np.asarray(ages, dtype=np.float64)))
+
+    @classmethod
+    def family_kernel(
+        cls, dists: Sequence[AvailabilityDistribution], ages: FloatArray
+    ) -> CdfPeKernel:
+        """``(F_age, PE_age)`` over rows of many instances of this family.
+
+        Row ``i`` of the kernel's ``(rows, n)`` input is evaluated under
+        ``dists[i]`` at ``ages[i]`` (one instance may stand for every row).
+        This is the Markov row objective's only contact with the
+        distributions (:class:`~repro.core.markov.MarkovRows`); rows whose
+        distributions share a :meth:`kernel_family` key share one call.
 
         The default conditions once per row and evaluates the array-form
         :meth:`cdf` / :meth:`partial_expectation` row by row (a row is
         never mixed with another in one call, so its values do not depend
         on its neighbours).  The paper families override it with one
-        fused pass that shares the intermediate both quantities need.
+        fused pass over per-row parameter arrays.
         """
-        conds = [self.conditional(float(a)) for a in np.ravel(ages)]
+        return _conditional_rows_kernel(
+            [d.conditional(float(a)) for d, a in zip(_per_row(dists, len(ages)), ages, strict=True)]
+        )
 
-        def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
-            F = np.empty_like(x)
-            PE = np.empty_like(x)
-            for i in range(x.shape[0]):
-                cond = conds[i] if len(conds) > 1 else conds[0]
-                F[i] = cond.cdf(x[i])
-                PE[i] = cond.partial_expectation(x[i])
-            return F, PE
+    def kernel_family(self) -> Hashable:
+        """The key under which rows of this distribution share one
+        :meth:`family_kernel` call: the instance itself by default, the
+        class for the closed-form families."""
+        return id(self)
 
-        return kernel
+    def kernel_row(self, age: float) -> tuple[AvailabilityDistribution, float]:
+        """The ``(distribution, age)`` whose :meth:`family_kernel` row
+        evaluates this distribution's ``F_age``: itself, except that a
+        conditional distribution is its base at the summed age."""
+        return self, age
 
     def truncated_mean(self, x: ArrayLike) -> ScalarOrArray:
         """``E[X | X <= x] = PE(x) / F(x)`` (the ``K02``/``K22`` cost form)."""

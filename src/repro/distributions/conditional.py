@@ -161,6 +161,10 @@ class ConditionalDistribution(AvailabilityDistribution):
         """Conditioning composes: the base's kernel at the summed ages."""
         return self.base.cdf_pe_kernel(self.age + np.ravel(np.asarray(ages, dtype=np.float64)))
 
+    def kernel_row(self, age: float) -> tuple[AvailabilityDistribution, float]:
+        """Conditioning composes: the base's row at the summed age."""
+        return self.base.kernel_row(self.age + age)
+
     def conditional(self, age: float) -> AvailabilityDistribution:
         """Conditioning composes: ``(F_a)_b = F_{a+b}``."""
         if age < 0:

@@ -9,6 +9,8 @@ checkpoint interval optimal under this model.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Sequence
+from typing import cast
 
 import numpy as np
 
@@ -59,6 +61,7 @@ class Exponential(AvailabilityDistribution):
     """Exponential distribution with rate ``lam`` (mean ``1/lam``)."""
 
     name = "exponential"
+    elementwise_mrl = True
 
     __slots__ = ("lam",)
 
@@ -109,24 +112,38 @@ class Exponential(AvailabilityDistribution):
         out = _exp_partial_expectation(self.lam, arr)
         return float(out) if arr.ndim == 0 else out
 
-    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+    def kernel_family(self) -> Hashable:
+        return Exponential
+
+    @classmethod
+    def family_kernel(cls, dists: Sequence[AvailabilityDistribution], ages: FloatArray) -> CdfPeKernel:
         """Fused ``(F, PE)`` from one ``expm1(-lam x)``; by memorylessness
-        every row's kernel is the unconditional one.
+        every row's kernel is the unconditional one, at its own rate (a
+        scalar for one instance, a ``(rows, 1)`` column for many).
 
         ``PE = F / lam - x (1 - F)`` loses digits below the series cutoff
         like the closed form does, so the same Taylor series takes over
         there.
         """
-        lam = self.lam
+        exps = cast("Sequence[Exponential]", dists)
+        if len(exps) == 1:
+            neg_lam: float | FloatArray = -exps[0].lam
+            lam: float | FloatArray = exps[0].lam
+            slowest = exps[0].lam
+        else:
+            lam = np.array([e.lam for e in exps]).reshape(-1, 1)
+            neg_lam, slowest = -lam, float(lam.min())
 
         def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
-            u = x * lam
-            em1 = np.expm1(-u)
+            neg_u = x * neg_lam
+            em1 = np.expm1(neg_u)
             F = -em1
             PE = F / lam - x * (1.0 + em1)
-            small = u < _SERIES_CUTOFF
-            if bool(small.any()):
-                PE = np.where(small, u * x * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
+            # lam x is monotone in x: no element is below the series
+            # cutoff unless the smallest abscissa at the smallest rate is
+            if float(x.min()) * slowest < _SERIES_CUTOFF:
+                u = -neg_u
+                PE = np.where(u < _SERIES_CUTOFF, u * x * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
             return F, PE
 
         return kernel

@@ -17,6 +17,8 @@ the slow phases, lengthening the optimal interval.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Sequence
+from typing import cast
 
 import numpy as np
 
@@ -40,6 +42,7 @@ class Hyperexponential(AvailabilityDistribution):
     """Mixture of exponentials with weights ``probs`` and rates ``rates``."""
 
     name = "hyperexponential"
+    elementwise_mrl = True
 
     __slots__ = ("probs", "rates")
 
@@ -145,33 +148,113 @@ class Hyperexponential(AvailabilityDistribution):
             total = 1.0
         return Hyperexponential(w / total, self.rates)
 
-    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+    def mean_residual_life(self, t: ArrayLike) -> ScalarOrArray:
+        """``E[X - t | X > t]`` in the floats of the generic survival /
+        partial-expectation form, element by element.
+
+        The survival mixes each age's phase exponentials with one dot
+        product per age, as the scalar call does: a matrix-vector product
+        over many ages sums in another order.  So an array of ages gives
+        bitwise the scalar calls (the optimizer resolves a solve call's
+        search bounds in one call).
+        """
+        arr = np.asarray(t, dtype=np.float64)
+        e = np.exp(-np.multiply.outer(np.maximum(arr, 0.0), self.rates))
+        mixed = (
+            e @ self.probs
+            if arr.ndim == 0
+            else np.array([row @ self.probs for row in e.reshape(-1, self.k)]).reshape(arr.shape)
+        )
+        surv = np.where(arr >= 0.0, mixed, 1.0)
+        pe = np.asarray(self.partial_expectation(arr))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.maximum(np.where(surv > 0.0, (self.mean() - pe) / surv - arr, 0.0), 0.0)
+        return float(out) if arr.ndim == 0 else out
+
+    def kernel_family(self) -> Hashable:
+        return Hyperexponential
+
+    @classmethod
+    def family_kernel(cls, dists: Sequence[AvailabilityDistribution], ages: FloatArray) -> CdfPeKernel:
         """Fused ``(F_age, PE_age)``: the phase exponentials ``e^{-lam x}``
         evaluated once, mixed with each row's reweighted probabilities
         (the same log-sum-exp reweighting as :meth:`conditional`).
 
         ``F = 1 - sum_i p_i e^{-lam_i x}`` and the series-protected phase
         partial expectations are the formulas of :meth:`cdf_one` and
-        :meth:`partial_expectation`.
+        :meth:`partial_expectation`.  Rows of many instances carry
+        ``(rows, k)`` probabilities and rates, padded to the largest ``k``
+        with zero-probability phases at the end; a padded phase repeats
+        its row's last rate, so it adds exact zeros to every sum and no
+        inf or NaN enters them.
         """
+        hypers = cast("Sequence[Hyperexponential]", dists)
         a = np.asarray(ages, dtype=np.float64).reshape(-1, 1)
-        with np.errstate(divide="ignore"):
-            logw = np.log(self.probs) - self.rates * a
+        k = hypers[0].k if len(hypers) == 1 else max(h.k for h in hypers)
+        logp, rates, inv = (
+            hypers[0]._phase_params(k)
+            if len(hypers) == 1
+            else (np.array(col) for col in zip(*(h._phase_params(k) for h in hypers)))
+        )
+        logw = logp - rates * a
         w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        weights = (w / w.sum(axis=1, keepdims=True))[:, None, :]
-        rates, inv = self.rates, 1.0 / self.rates
+        weights = w / w.sum(axis=1, keepdims=True)
+        # one (-rate, 1/rate, weight) per phase: scalars for one instance,
+        # (rows, 1) columns for many
+        if rates.ndim == 1:
+            phases = [
+                (-r, v, weights[:, j : j + 1])
+                for j, (r, v) in enumerate(zip(rates.tolist(), inv.tolist(), strict=True))
+            ]
+        else:
+            neg_rates = -rates
+            phases = [(neg_rates[:, j : j + 1], inv[:, j : j + 1], weights[:, j : j + 1]) for j in range(k)]
+        slowest = float(rates.min())
+
+        def phase(
+            x: FloatArray, series: bool, neg_rate: float | FloatArray, inv_rate: float | FloatArray
+        ) -> tuple[FloatArray, FloatArray]:
+            neg_u = x * neg_rate
+            e = np.exp(neg_u)
+            PE = inv_rate - (x + inv_rate) * e
+            if series:
+                u = -neg_u
+                PE = np.where(u < _SERIES_CUTOFF, u * x * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
+            return e, PE
 
         def kernel(x: FloatArray) -> tuple[FloatArray, FloatArray]:
-            x3 = x[..., None]
-            u = x3 * rates
-            e = np.exp(-u)
-            PE = inv - (x3 + inv) * e
-            small = u < _SERIES_CUTOFF
-            if bool(small.any()):
-                PE = np.where(small, u * x3 * (0.5 - u / 3.0 + u * u / 8.0 - u * u * u / 30.0), PE)
-            return 1.0 - (e * weights).sum(axis=2), (PE * weights).sum(axis=2)
+            # phase by phase on (rows, n) arrays, the mixtures added in
+            # phase order, as a sum over a trailing phase axis adds them.
+            # lam x is monotone in x: no element is below the series
+            # cutoff unless the smallest abscissa at the smallest rate is
+            series = float(x.min()) * slowest < _SERIES_CUTOFF
+            (neg_rate, inv_rate, weight), *rest = phases
+            e, PE = phase(x, series, neg_rate, inv_rate)
+            surv, pe = e * weight, PE * weight
+            for neg_rate, inv_rate, weight in rest:
+                e, PE = phase(x, series, neg_rate, inv_rate)
+                surv = surv + e * weight
+                pe = pe + PE * weight
+            return 1.0 - surv, pe
 
         return kernel
+
+    def _phase_params(self, k: int) -> tuple[FloatArray, FloatArray, FloatArray]:
+        """``(log probs, rates, 1 / rates)`` of the family kernel, padded to
+        ``k`` phases with zero-probability ones that repeat the last rate
+        (kept per ``k``)."""
+        padded: dict[int, tuple[FloatArray, FloatArray, FloatArray]] = self.__dict__.setdefault("_padded_phases", {})
+        params = padded.get(k)
+        if params is None:
+            with np.errstate(divide="ignore"):
+                logp = np.log(self.probs)
+            extra = k - self.k
+            params = padded[k] = (
+                np.concatenate([logp, np.full(extra, -np.inf)]),
+                np.concatenate([self.rates, np.full(extra, self.rates[-1])]),
+                np.concatenate([1.0 / self.rates, np.full(extra, 1.0 / self.rates[-1])]),
+            )
+        return params
 
     def sample(self, size: int | tuple[int, ...], rng: np.random.Generator) -> FloatArray:
         idx = rng.choice(self.k, size=size, p=self.probs)

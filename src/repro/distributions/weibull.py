@@ -11,9 +11,11 @@ produces an aperiodic, lengthening checkpoint schedule.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Sequence
+from functools import cached_property
+from typing import cast
 
 import numpy as np
-from numpy.typing import NDArray
 from scipy import special
 
 from repro.distributions.base import (
@@ -22,6 +24,8 @@ from repro.distributions.base import (
     CdfPeKernel,
     FloatArray,
     ScalarOrArray,
+    _per_row,
+    _conditional_rows_kernel,
 )
 from repro.distributions.conditional import _DEEP_TAIL_SURV
 
@@ -32,6 +36,7 @@ class Weibull(AvailabilityDistribution):
     """Weibull distribution with ``shape`` (alpha) and ``scale`` (beta)."""
 
     name = "weibull"
+    elementwise_mrl = True
 
     __slots__ = ("shape", "scale")
 
@@ -116,7 +121,35 @@ class Weibull(AvailabilityDistribution):
         out = np.where(np.isfinite(arr), out, self.mean())
         return float(out) if arr.ndim == 0 else out
 
-    def cdf_pe_kernel(self, ages: ArrayLike) -> CdfPeKernel:
+    def mean_residual_life(self, t: ArrayLike) -> ScalarOrArray:
+        """``E[X - t | X > t]`` from one shared ``z = (t / beta)^alpha``.
+
+        The floats of the generic survival / partial-expectation form,
+        element by element: ``z`` is taken with the C library's ``pow``
+        on each age, which is what numpy uses for a scalar, while its
+        vectorised ``pow`` differs in the last place on a few percent of
+        inputs.  So an array of ages gives bitwise the scalar calls (the
+        optimizer resolves a solve call's search bounds in one call).
+        """
+        arr = np.asarray(t, dtype=np.float64)
+        alpha, _, mean, s = self._kernel_params
+        u = np.maximum(arr, 0.0) / self.scale
+        z = u**alpha if arr.ndim == 0 else np.array([v**alpha for v in u.ravel()]).reshape(arr.shape)
+        surv = np.exp(-z)
+        pe = mean * special.gammainc(s, z)
+        pe = np.where(arr <= 0.0, 0.0, pe)
+        pe = np.where(np.isfinite(arr), pe, mean)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.maximum(np.where(surv > 0.0, (mean - pe) / surv - arr, 0.0), 0.0)
+        return float(out) if arr.ndim == 0 else out
+
+    def kernel_family(self) -> Hashable:
+        # numpy's ``pow`` squares or square-roots for a scalar exponent of
+        # exactly 2 or 1/2, so such a shape is never a per-row exponent
+        return id(self) if self.shape in (0.5, 2.0) else Weibull
+
+    @classmethod
+    def family_kernel(cls, dists: Sequence[AvailabilityDistribution], ages: FloatArray) -> CdfPeKernel:
         """Fused ``(F_a, PE_a)`` from one shared ``z = ((a + x) / beta)^alpha``.
 
         With ``s = 1 + 1/alpha``, ``z_a = (a / beta)^alpha`` and the
@@ -133,11 +166,20 @@ class Weibull(AvailabilityDistribution):
         round-off by ``1/S(a)``, which puts ``T_opt`` off by up to half a
         percent just above the deep-tail switch.  Rows beyond the switch
         (``S(a) < 1e-9``) take the generic by-parts path.
+
+        ``alpha``, ``1/beta``, the mean and ``s`` are scalars for one
+        instance and ``(rows, 1)`` columns for many; every operation is
+        elementwise, so a row's floats are the same either way.  Which
+        mass form each row takes and which rows are deep is settled here,
+        once, not on every evaluation.
         """
+        weibulls = cast("Sequence[Weibull]", dists)
         a = np.asarray(ages, dtype=np.float64).reshape(-1, 1)
-        alpha, mean = self.shape, self.mean()
-        inv_beta = 1.0 / self.scale
-        s = 1.0 + 1.0 / alpha
+        if len(weibulls) == 1:
+            alpha, inv_beta, mean, s = weibulls[0]._kernel_params
+        else:
+            params = np.array([w._kernel_params for w in weibulls])
+            alpha, inv_beta, mean, s = (params[:, j : j + 1] for j in range(4))
         if not bool(np.any(a)):
             # the unconditional pair: F = -expm1(-z), PE = mean * P(s, z)
             def fresh(x: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -147,46 +189,65 @@ class Weibull(AvailabilityDistribution):
             return fresh
         za = (a * inv_beta) ** alpha
         surv = np.exp(-za)
+        deep = (surv < _DEEP_TAIL_SURV).ravel()
+        rows = zip(_per_row(weibulls, a.size), a.ravel().tolist(), deep.tolist(), strict=True)
+        generic = _conditional_rows_kernel([w.conditional(r) for w, r, d in rows if d])
+        if bool(deep.all()):
+            return generic
+        live = ~deep
+        mixed = bool(deep.any())
+        if mixed:
+            a, za, surv = a[live], za[live], surv[live]
+            if len(weibulls) > 1:
+                alpha, inv_beta, mean, s = alpha[live], inv_beta[live], mean[live], s[live]
         q_a = special.gammaincc(s, za)
-        aged = q_a <= 0.5
-        ref = q_a if bool(aged.all()) else np.where(aged, q_a, special.gammainc(s, za))
+        aged = (q_a <= 0.5).ravel()
+        weight = mean / surv
+        if bool(aged.all()):
+            ref = q_a
 
-        def fused(
-            x: FloatArray, a: FloatArray, za: FloatArray, weight: FloatArray,
-            ref: FloatArray, aged: NDArray[np.bool_],
-        ) -> tuple[FloatArray, FloatArray]:
+            def mass(z: FloatArray) -> FloatArray:
+                out: FloatArray = ref - special.gammaincc(s, z)
+                return out
+        elif not bool(aged.any()):
+            ref = special.gammainc(s, za)
+
+            def mass(z: FloatArray) -> FloatArray:
+                out: FloatArray = special.gammainc(s, z) - ref
+                return out
+        else:
+            ref = np.where(aged[:, None], q_a, special.gammainc(s, za))
+            young = ~aged
+            s_old = s[aged] if np.ndim(s) else s
+            s_young = s[young] if np.ndim(s) else s
+
+            def mass(z: FloatArray) -> FloatArray:
+                out = np.empty_like(z)
+                out[aged] = ref[aged] - special.gammaincc(s_old, z[aged])
+                out[young] = special.gammainc(s_young, z[young]) - ref[young]
+                return out
+
+        def fused(x: FloatArray) -> tuple[FloatArray, FloatArray]:
             z = ((a + x) * inv_beta) ** alpha
             F = -np.expm1(za - z)
-            if bool(aged.all()):
-                mass = ref - special.gammaincc(s, z)
-            elif not bool(aged.any()):
-                mass = special.gammainc(s, z) - ref
-            else:
-                rows = aged.ravel()
-                mass = np.empty_like(z)
-                mass[rows] = ref[rows] - special.gammaincc(s, z[rows])
-                mass[~rows] = special.gammainc(s, z[~rows]) - ref[~rows]
-            return F, np.maximum(mass * weight - a * F, 0.0)
+            return F, np.maximum(mass(z) * weight - a * F, 0.0)
 
-        with np.errstate(divide="ignore"):
-            weight = mean / surv
-        deep = (surv < _DEEP_TAIL_SURV).ravel()
-        if not bool(deep.any()):
-            return lambda x: fused(x, a, za, weight, ref, aged)
-        live = ~deep
-        args = (a[live], za[live], weight[live], ref[live], aged[live])
-        generic = super().cdf_pe_kernel(a[deep])
-        if not bool(live.any()):
-            return generic
+        if not mixed:
+            return fused
 
-        def mixed(x: FloatArray) -> tuple[FloatArray, FloatArray]:
+        def split(x: FloatArray) -> tuple[FloatArray, FloatArray]:
             F = np.empty_like(x)
             PE = np.empty_like(x)
-            F[live], PE[live] = fused(x[live], *args)
+            F[live], PE[live] = fused(x[live])
             F[deep], PE[deep] = generic(x[deep])
             return F, PE
 
-        return mixed
+        return split
+
+    @cached_property
+    def _kernel_params(self) -> tuple[float, float, float, float]:
+        """``(alpha, 1/beta, mean, s = 1 + 1/alpha)`` of the family kernel."""
+        return self.shape, 1.0 / self.scale, self.mean(), 1.0 + 1.0 / self.shape
 
     def quantile(self, q: ArrayLike) -> ScalarOrArray:
         arr = np.asarray(q, dtype=np.float64)

@@ -13,10 +13,10 @@ fault, and how many the *encoding's*?
 Protocol, mirroring the pool sweep: per machine, fit each model to the
 training prefix, then replay the whole trace once per (model, policy);
 aggregate means across machines.  Each (machine, model) builds one
-schedule per policy and replays them all with one
+schedule per policy, and the study replays them all with one
 :func:`~repro.simulation.batch_replay.replay_batch` call, which solves
-the schedules in lock-step (one batched solve per step) before the
-table-driven storage walk replays them; every result is bitwise the one
+every schedule in lock-step (one batched solve per step across every
+fitted model) before the table-driven storage walk replays them; every result is bitwise the one
 :func:`~repro.simulation.trace_sim.simulate_trace` gives.  Because
 every policy replays the same traces under the same fitted model, the
 megabyte columns are paired -- differences are pure storage effects.
@@ -24,6 +24,7 @@ megabyte columns are paired -- differences are pure storage effects.
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from dataclasses import dataclass, field
 
@@ -180,13 +181,13 @@ def run_storage_study(
         model_names=tuple(model_names),
         policy_names=tuple(name for name, _ in policies),
     )
+    items: list[BatchReplayItem] = []
     for trace in pool:
         train, _test = trace.split(n_train)
         machine_key = zlib.crc32(trace.machine_id.encode("utf-8"))
         rng = np.random.default_rng(np.random.SeedSequence([em_seed, machine_key]))
         for model in study.model_names:
             dist = fit_model(model, train, rng=rng)
-            items = []
             for _name, policy in policies:
                 config = SimulationConfig(
                     checkpoint_cost=float(checkpoint_cost),
@@ -202,6 +203,7 @@ def run_storage_study(
                         model_name=model,
                     )
                 )
-            for policy_name, result in zip(study.policy_names, replay_batch(items), strict=True):
-                study.results.setdefault((model, policy_name), []).append(result)
+    policy_names = itertools.cycle(study.policy_names)
+    for item, policy_name, result in zip(items, policy_names, replay_batch(items)):
+        study.results.setdefault((item.model_name, policy_name), []).append(result)
     return study

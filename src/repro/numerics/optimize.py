@@ -30,7 +30,7 @@ from collections.abc import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.obs.metrics import active as _metrics
+from repro.obs.metrics import MetricsRegistry, active as _metrics
 
 #: the array type batched objectives traffic in (matches
 #: ``repro.distributions.base.FloatArray`` without importing it: the
@@ -359,9 +359,8 @@ class RowMinima:
     bracketed: NDArray[np.bool_]
 
 
-def _evaluate(func: BatchObjective, X: FloatArray) -> FloatArray:
+def _evaluate(func: BatchObjective, X: FloatArray, reg: MetricsRegistry | None) -> FloatArray:
     """One vectorised objective pass over a (rows x abscissae) array."""
-    reg = _metrics()
     if reg is not None:
         reg.inc("numerics.hybrid.passes")
         reg.inc("numerics.hybrid.rows", X.shape[0])
@@ -438,61 +437,74 @@ def minimize_rows(func: BatchObjective, lo: FloatArray, hi: FloatArray) -> RowMi
         raise ValueError(f"lo and hi differ in shape: {lo.shape} != {hi.shape}")
     if not bool(np.all((lo > 0.0) & (lo < hi))):
         raise ValueError("every row needs a domain 0 < lo < hi")
+    return _minimize_rows(func, lo, hi)
+
+
+def _minimize_rows(func: BatchObjective, lo: FloatArray, hi: FloatArray) -> RowMinima:
+    """:func:`minimize_rows` on float64 vectors already known to satisfy
+    ``0 < lo < hi`` (the schedule solver's domains always do)."""
     reg = _metrics()
     if reg is not None:
         reg.inc("numerics.hybrid.calls")
     n = lo.size
-    rows = np.arange(n)
 
     # -- 1. grid --------------------------------------------------------
     left = np.log(lo)
     width = np.log(hi) - left
     LG = left[:, None] + width[:, None] * _GRID
     XG = np.exp(LG)
-    FG = _evaluate(func, XG)
-    best = np.argmin(FG, axis=1)
+    FG = _evaluate(func, XG, reg)
+    best = FG.argmin(axis=1)
     b = np.minimum(np.maximum(best, 1), _GRID_POINTS - 2)
-    fx = FG[rows, b]
+    # flat indices of each row's grid point b and its two neighbours
+    at = np.arange(0, n * _GRID_POINTS, _GRID_POINTS) + b
+    below, above = at - 1, at + 1
+    FG, LG = FG.ravel(), LG.ravel()
+    fx = FG[at]
     # the argmin is no larger than its neighbours; a bracket also needs
     # an interior point strictly below one of them
     interior = best == b  # reprolint: ignore[RL002] -- integer grid indices
-    bracketed = interior & ((fx < FG[rows, b - 1]) | (fx < FG[rows, b + 1]))
-    x = XG[rows, b]
-    left = LG[rows, b - 1]
-    width = LG[rows, b + 1] - left
+    bracketed = interior & ((fx < FG[below]) | (fx < FG[above]))
+    x = XG.ravel()[at]
+    left = LG[below]
+    width = LG[above] - left
+    del XG, LG, FG  # a wide solve's grid arrays are not read again
 
     # -- 2. zoom --------------------------------------------------------
     # the centre x sits at the bracket's log midpoint; the zoom abscissae
     # fall half on each side of it, and the best of them and the centre
     # becomes the centre of a bracket (_ZOOM_POINTS + 2) / 2 times narrower
-    merged = np.empty((n, _ZOOM_POINTS + 1))
+    # (the abscissae and values in merged order, indexed flat)
+    merged_x = np.empty((n, _ZOOM_POINTS + 1))
+    merged_f = np.empty((n, _ZOOM_POINTS + 1))
+    offsets = np.arange(0, n * (_ZOOM_POINTS + 1), _ZOOM_POINTS + 1)
     for _ in range(_ZOOM_PASSES):
         XZ = np.exp(left[:, None] + width[:, None] * _ZOOM)
-        FZ = _evaluate(func, XZ)
-        merged[:, :_HALF] = FZ[:, :_HALF]
-        merged[:, _HALF] = fx
-        merged[:, _HALF + 1 :] = FZ[:, _HALF:]
-        k = np.argmin(merged, axis=1)
-        fx = merged[rows, k]
-        x = np.where(k == _HALF, x, XZ[rows, k - (k > _HALF)])
+        FZ = _evaluate(func, XZ, reg)
+        merged_x[:, :_HALF], merged_x[:, _HALF], merged_x[:, _HALF + 1 :] = XZ[:, :_HALF], x, XZ[:, _HALF:]
+        merged_f[:, :_HALF], merged_f[:, _HALF], merged_f[:, _HALF + 1 :] = FZ[:, :_HALF], fx, FZ[:, _HALF:]
+        k = merged_f.argmin(axis=1)
+        at = offsets + k
+        fx = merged_f.ravel()[at]
+        x = merged_x.ravel()[at]
         left = left + width * _EDGE[k]
         width = width * (2.0 / (_ZOOM_POINTS + 2.0))
 
     # -- 3. polish ------------------------------------------------------
     # a stencil centred on x fits the domain when lo_in <= x <= hi_in
     lo_in, hi_in = lo / (1.0 - _H_REL), hi / (1.0 + _H_REL)
-    f02 = _evaluate(func, x[:, None] * _STENCIL2)
+    f02 = _evaluate(func, x[:, None] * _STENCIL2, reg)
     v, ok = _vertex(x, fx, f02[:, 0], f02[:, 1], (x >= lo_in) & (x <= hi_in))
-    around = _evaluate(func, v[:, None] * _STENCIL3)
-    take = ok & (around[:, 0] <= np.maximum(f02[:, 0], f02[:, 1]))
+    around = _evaluate(func, v[:, None] * _STENCIL3, reg)
+    take = ok & (around[:, 0] <= f02.max(axis=1))
     x = np.where(take, v, x)
     fx = np.where(take, around[:, 0], fx)
     # second fit, centred on the accepted vertex (a rejected vertex
     # would only be refitted to itself and rejected again)
     inside = take & (v >= lo_in) & (v <= hi_in)
     v2, ok2 = _vertex(v, around[:, 0], around[:, 1], around[:, 2], inside)
-    f_v2 = _evaluate(func, v2[:, None])[:, 0]
-    take2 = ok2 & (f_v2 <= np.maximum(around[:, 1], around[:, 2]))
+    f_v2 = _evaluate(func, v2[:, None], reg)[:, 0]
+    take2 = ok2 & (f_v2 <= around[:, 1:].max(axis=1))
     return RowMinima(
         x=np.where(take2, v2, x),
         fx=np.where(take2, f_v2, fx),

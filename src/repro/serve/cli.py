@@ -193,10 +193,15 @@ def serve_main(argv: list[str], stdout: TextIO | None = None) -> int:
             if server.metrics_port is not None
             else ""
         )
+        refused = (
+            f", snapshot refused: {server.warm_load_refused}"
+            if server.warm_load_refused is not None
+            else ""
+        )
         print(
             f"[repro serve] listening on {config.host}:{server.port} "
             f"(pools: {len(registry)}, warm-loaded: {server.warm_loaded_entries} "
-            f"entries{scrape})",
+            f"entries{refused}{scrape})",
             file=sink,
             flush=True,
         )

@@ -35,6 +35,7 @@ __all__ = [
     "costs_to_payload",
     "dumps",
     "error_response",
+    "finite_or_inf",
     "interval_to_payload",
     "ok_response",
     "parse_request",
@@ -148,6 +149,16 @@ def costs_to_payload(costs: CheckpointCosts) -> dict[str, float]:
     }
 
 
+def finite_or_inf(value: float) -> float:
+    """A JSON number as a float; an integer beyond the float range (JSON
+    integers have no bound) is an infinity of its sign, which every range
+    check rejects, where ``float()`` would raise ``OverflowError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def costs_from_payload(
     payload: Any, default: CheckpointCosts | None = None
 ) -> CheckpointCosts:
@@ -185,7 +196,7 @@ def costs_from_payload(
             raise ProtocolError(
                 "bad-costs", f"cost {name!r} must be numeric, got {value!r}"
             )
-        return float(value)
+        return finite_or_inf(value)
 
     try:
         return CheckpointCosts(

@@ -36,6 +36,7 @@ import asyncio
 import json
 import logging
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, TextIO
@@ -56,6 +57,7 @@ from repro.serve.protocol import (
     costs_to_payload,
     dumps,
     error_response,
+    finite_or_inf,
     interval_to_payload,
     ok_response,
     parse_request,
@@ -204,6 +206,8 @@ class ScheduleServer:
         self.rejected = 0
         self._inflight = 0
         self.warm_loaded_entries = 0
+        #: why the last warm load refused an existing snapshot file
+        self.warm_load_refused: str | None = None
         self.op_counts: dict[str, int] = {}
         self._server: asyncio.AbstractServer | None = None
         self._stop: asyncio.Event | None = None
@@ -232,14 +236,31 @@ class ScheduleServer:
         path = self._warm_source()
         if path is None:
             return 0
+        self.warm_load_refused = None
         try:
             self.warm_loaded_entries = load_cache_snapshot(path)
-        except SnapshotError:
-            reg = _metrics()
-            if reg is not None:
-                reg.inc("serve.snapshot.load_failures")
-            self.warm_loaded_entries = 0
+        except SnapshotError as exc:
+            self._warm_load_failed(path, exc)
         return self.warm_loaded_entries
+
+    def _warm_load_failed(self, path: str, exc: SnapshotError) -> None:
+        """A warm load fell back to a cold start: counted always; a file
+        that exists but was refused (torn, foreign or an older schema) is
+        also logged with the reason and kept in :attr:`warm_load_refused`
+        for the startup banner, so it does not pass for an empty one."""
+        reg = _metrics()
+        if reg is not None:
+            reg.inc("serve.snapshot.load_failures")
+        self.warm_loaded_entries = 0
+        if os.path.exists(path):
+            self.warm_load_refused = str(exc)
+            _logger.warning(
+                "%s",
+                json.dumps(
+                    {"event": "snapshot_load_failed", "path": path, "reason": str(exc)},
+                    sort_keys=True,
+                ),
+            )
 
     def _warm_source(self) -> str | None:
         """The file warm loads read: the explicit source path when set
@@ -252,16 +273,14 @@ class ScheduleServer:
         path = self._warm_source()
         if path is None:
             return 0
+        self.warm_load_refused = None
         try:
             payload = await asyncio.to_thread(read_snapshot_payload, path)
             self.warm_loaded_entries = apply_snapshot_payload(
                 payload, source=f"snapshot {path!r}"
             )
-        except SnapshotError:
-            reg = _metrics()
-            if reg is not None:
-                reg.inc("serve.snapshot.load_failures")
-            self.warm_loaded_entries = 0
+        except SnapshotError as exc:
+            self._warm_load_failed(path, exc)
         return self.warm_loaded_entries
 
     def snapshot_now(self, path: str | None = None) -> int:
@@ -460,6 +479,7 @@ class ScheduleServer:
         age = request.get("age")
         if isinstance(age, bool) or not isinstance(age, int | float):
             raise ProtocolError("bad-request", f"'age' must be numeric, got {age!r}")
+        age = finite_or_inf(age)
         if not 0 <= age < math.inf:
             raise ProtocolError(
                 "bad-request", f"'age' must be finite and non-negative, got {age}"

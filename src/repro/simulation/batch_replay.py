@@ -21,9 +21,10 @@ whole pools as batched array arithmetic with no per-cycle Python:
    ``cum[k] = sum_{j<k}(T_j + C + L)`` (work + transfer + commit
    latency per committed cycle) is built once, exactly as long as the
    longest post-recovery budget needs: :func:`replay_batch` first
-   advances every schedule of a fitted model in lock-step
+   advances every schedule of the batch in lock-step
    (:func:`~repro.core.schedule.fill_schedules`, one batched solve per
-   step) to its covering prefix, which the table then reads.
+   step across every fitted model) to its covering prefix, which the
+   table then reads.
 3. **Resolve every interval with one ``searchsorted``.**  The number of
    committed cycles in an interval with post-recovery budget ``a'`` is
    ``searchsorted(cum, a', side='right') - 1``; the remainder
@@ -811,8 +812,8 @@ def _fill_need(durations: Any, config: SimulationConfig) -> tuple[float, float] 
 
 
 def _fill_lockstep(items: Sequence[BatchReplayItem]) -> None:
-    """Solve every item's schedule to its covering prefix, one lock-step
-    fill per fitted model (schedules sharing a distribution object).
+    """Solve every item's schedule to its covering prefix in one
+    lock-step fill across every fitted model.
 
     A schedule is filled to its items' longest budget at their smallest
     cycle overhead, which covers every one of its items.
@@ -830,15 +831,11 @@ def _fill_lockstep(items: Sequence[BatchReplayItem]) -> None:
         if prev is not None:
             budget, overhead = max(budget, prev[1]), min(overhead, prev[2])
         need[id(sched)] = (sched, budget, overhead)
-    models: dict[int, list[tuple[CheckpointSchedule, float, float]]] = {}
-    for entry in need.values():
-        models.setdefault(id(entry[0].distribution), []).append(entry)
-    for group in models.values():
-        fill_schedules(
-            [sched for sched, _, _ in group],
-            [budget for _, budget, _ in group],
-            [overhead for _, _, overhead in group],
-        )
+    fill_schedules(
+        [sched for sched, _, _ in need.values()],
+        [budget for _, budget, _ in need.values()],
+        [overhead for _, _, overhead in need.values()],
+    )
 
 
 def _as_durations(durations: Any) -> FloatArray:
@@ -864,8 +861,8 @@ def replay_batch(items: Sequence[BatchReplayItem]) -> list[SimulationResult]:
     """Replay heterogeneous items, vectorizing within groups.
 
     Every schedule is first solved to exactly the prefix its replays
-    read, in lock-step with the other schedules of its fitted model
-    (one batched solve per step).  Flat items sharing a schedule *and*
+    read, in lock-step with every other schedule of the batch (one
+    batched solve per step across all their fitted models).  Flat items sharing a schedule *and*
     a config object (identity, not equality: the pool runner builds
     exactly one of each per sweep point) are then flattened into one
     :func:`replay_flat_pool` call, made when the group's first item

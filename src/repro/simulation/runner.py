@@ -7,11 +7,11 @@ Table 3 (network load) protocol:
    ``n_train`` observations (the training set);
 2. replay the machine's *entire* trace ("a job that begins before the
    first measurement ... and continues to run after the last") once per
-   (model, checkpoint cost) pair -- one
-   :func:`~repro.simulation.batch_replay.replay_batch` call per (machine,
-   model), which solves the pair's schedules in lock-step and replays
-   flat configs through the array kernel and storage-backed ones
-   through the storage walk;
+   (model, checkpoint cost) pair -- serially, one
+   :func:`~repro.simulation.batch_replay.replay_batch` call for the whole
+   pool, which solves every schedule of every fitted model in lock-step
+   and replays flat configs through the array kernel and storage-backed
+   ones through the storage walk;
 3. aggregate per-machine efficiencies and megabyte counts into the
    per-(model, cost) vectors that the statistics layer turns into means,
    confidence intervals and paired significance tests.
@@ -118,16 +118,15 @@ def _replay_durations(trace: AvailabilityTrace, settings: SweepSettings) -> np.n
     return trace.durations if settings.replay == "full" else test
 
 
-def _replay_model(
+def _model_items(
     dist: AvailabilityDistribution,
     replay: np.ndarray,
     machine_id: str,
     model_name: str,
     settings: SweepSettings,
-) -> list[SimulationResult]:
-    """Replay one fitted (machine, model) pair across the cost sweep:
-    one schedule per sweep point, all replaying the same trace through
-    one :func:`~repro.simulation.batch_replay.replay_batch` call."""
+) -> list[BatchReplayItem]:
+    """One fitted (machine, model) pair's replays across the cost sweep:
+    one schedule per sweep point, all replaying the same trace."""
     items: list[BatchReplayItem] = []
     for cost in settings.checkpoint_costs:
         config = replace(settings.base_config, checkpoint_cost=float(cost))
@@ -140,20 +139,36 @@ def _replay_model(
                 model_name=model_name,
             )
         )
-    return replay_batch(items)
+    return items
+
+
+def _replay_model(
+    dist: AvailabilityDistribution,
+    replay: np.ndarray,
+    machine_id: str,
+    model_name: str,
+    settings: SweepSettings,
+) -> list[SimulationResult]:
+    """Replay one fitted (machine, model) pair across the cost sweep
+    with one :func:`~repro.simulation.batch_replay.replay_batch` call."""
+    return replay_batch(_model_items(dist, replay, machine_id, model_name, settings))
+
+
+def _machine_items(trace: AvailabilityTrace, settings: SweepSettings) -> list[BatchReplayItem]:
+    """Fit every model to one machine and build its sweep's replays."""
+    replay = _replay_durations(trace, settings)
+    return [
+        item
+        for model_name, dist in _fit_machine(trace, settings)
+        for item in _model_items(dist, replay, trace.machine_id, model_name, settings)
+    ]
 
 
 def simulate_machine(
     trace: AvailabilityTrace, settings: SweepSettings
 ) -> list[SimulationResult]:
     """Fit models to one machine's training prefix and run its sweep."""
-    replay = _replay_durations(trace, settings)
-    results: list[SimulationResult] = []
-    for model_name, dist in _fit_machine(trace, settings):
-        results.extend(
-            _replay_model(dist, replay, trace.machine_id, model_name, settings)
-        )
-    return results
+    return replay_batch(_machine_items(trace, settings))
 
 
 @dataclass(frozen=True)
@@ -314,6 +329,10 @@ def simulate_pool(
     else:
         if parent_reg is not None:
             parent_reg.set_gauge("sim.pool.workers", 1)
-        for trace in traces:
-            all_results.extend(simulate_machine(trace, settings))
+        # every (machine, model, cost) replay in one call, so its
+        # lock-step fill solves the schedules of every fitted model of
+        # the pool together
+        all_results.extend(
+            replay_batch([item for trace in traces for item in _machine_items(trace, settings)])
+        )
     return PoolSweep(settings=settings, results=tuple(all_results))

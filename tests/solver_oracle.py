@@ -176,10 +176,10 @@ def minimize_positive_hybrid(
     return minimize_positive_scalar(func, guess=guess, lo=lo, hi=hi, rel_tol=rel_tol, grid_points=grid_points)
 
 
-def _solve_golden_rows(distribution, fingerprint, rows):
+def _solve_golden_rows(rows, *, lone):
     return [
-        optimizer._solve_scalar(distribution, fingerprint, costs, age, t_max)
-        for costs, age, t_max in rows
+        optimizer._solve_scalar(dist, dist.fingerprint(), costs, age, t_max)
+        for dist, costs, age, t_max in rows
     ]
 
 

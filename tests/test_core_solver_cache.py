@@ -190,6 +190,32 @@ class TestSnapshotVersioning:
         with pytest.raises(ValueError, match="malformed solver-cache snapshot entry 0"):
             SolverCache().merge_dict(snap)
 
+    def test_malformed_entry_after_valid_ones_leaves_cache_unchanged(self):
+        """Every entry is validated before the first insertion: a valid
+        entry followed by a malformed one inserts nothing and counts
+        nothing."""
+        source = SolverCache()
+        source.put(_key(1), _interval())
+        snap = source.as_dict()
+        snap["entries"].append({"bogus": 1})
+        snap["hits"] = 5
+        cache = SolverCache()
+        cache.put(_key(0), _interval())
+        before = (cache.as_dict(), len(cache), cache.hits, cache.misses, cache.evictions)
+        with pytest.raises(ValueError, match="malformed solver-cache snapshot entry 1"):
+            cache.merge_dict(snap)
+        assert (cache.as_dict(), len(cache), cache.hits, cache.misses, cache.evictions) == before
+
+    def test_malformed_counter_leaves_cache_unchanged(self):
+        source = SolverCache()
+        source.put(_key(1), _interval())
+        snap = source.as_dict()
+        snap["misses"] = "many"
+        cache = SolverCache()
+        with pytest.raises(ValueError, match="malformed solver-cache snapshot counters"):
+            cache.merge_dict(snap)
+        assert len(cache) == 0 and cache.misses == 0
+
 
 class TestFingerprints:
     def test_equal_params_share_fingerprint(self):

@@ -109,6 +109,22 @@ class TestDispatch:
             response = _ask(_server(), {"op": "solve", "pool": "campus-exp", "age": age})
             assert response["error"]["code"] == "bad-request"
 
+    def test_oversized_integer_age_is_bad_request(self):
+        """A JSON integer beyond the float range is answered as a bad
+        request, not a solver error from ``float()``."""
+        for digits in ("1" + "0" * 400, "-1" + "0" * 400):
+            line = '{"op": "solve", "id": 1, "pool": "campus-exp", "age": %s}' % digits
+            response = asyncio.run(_server().handle_line(line))
+            assert response["error"]["code"] == "bad-request"
+            assert "finite and non-negative" in response["error"]["message"]
+
+    @pytest.mark.parametrize("field", ["checkpoint", "recovery", "latency"])
+    def test_oversized_integer_cost_is_bad_costs(self, field):
+        huge = "1" + "0" * 400
+        line = '{"op": "solve", "id": 1, "pool": "campus-exp", "age": 0, "costs": {"%s": %s}}' % (field, huge)
+        response = asyncio.run(_server().handle_line(line))
+        assert response["error"]["code"] == "bad-costs"
+
     def test_unschedulable_solve_is_strict_json(self):
         """Costs no interval can commit under, on every demo pool: not
         converged, and the infinite gamma goes out as ``null``, never
@@ -511,6 +527,58 @@ class TestSnapshotLifecycle:
         with use_solver_cache(SolverCache()):
             assert _server(snapshot_path=str(path)).warm_load() == 0
 
+
+    def test_refused_snapshot_is_logged_and_reported(self, tmp_path, schema_1_snapshot, caplog):
+        """A refused file is logged once per load with its path and
+        reason and kept for the banner; an absent file is not."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(schema_1_snapshot))
+        with use_solver_cache(SolverCache()), caplog.at_level("WARNING", logger="repro.serve"):
+            server = _server(snapshot_path=str(path))
+            assert server.warm_load() == 0
+            assert asyncio.run(server._warm_load_async()) == 0
+        events = [json.loads(r.getMessage()) for r in caplog.records if r.name == "repro.serve"]
+        assert [e["event"] for e in events] == ["snapshot_load_failed"] * 2
+        assert all(e["path"] == str(path) and "not a solver-cache snapshot" in e["reason"] for e in events)
+        assert "not a solver-cache snapshot" in server.warm_load_refused
+        caplog.clear()
+        absent = _server(snapshot_path=str(tmp_path / "absent.json"))
+        with use_solver_cache(SolverCache()), caplog.at_level("WARNING", logger="repro.serve"):
+            assert absent.warm_load() == 0
+        assert absent.warm_load_refused is None
+        assert not [r for r in caplog.records if r.name == "repro.serve"]
+
+    def test_banner_says_snapshot_refused(self, tmp_path, schema_1_snapshot):
+        """``repro serve --snapshot`` on a refused file says so in its
+        banner, where an empty or absent file reads ``warm-loaded: 0
+        entries`` alone."""
+        import socket
+        import threading
+        import time
+
+        from repro.serve.cli import serve_main
+
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(schema_1_snapshot))
+        out = io.StringIO()
+        with use_solver_cache(SolverCache()):
+            thread = threading.Thread(
+                target=serve_main,
+                args=(["--port", "0", "--demo", "--snapshot", str(path), "--snapshot-interval", "3600"], out),
+            )
+            thread.start()
+            deadline = time.monotonic() + 30.0
+            while "listening on" not in out.getvalue() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            banner = out.getvalue().splitlines()[0]
+            port = int(banner.split("listening on ")[1].split(" ")[0].rsplit(":", 1)[1])
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+                conn.sendall(b'{"op": "shutdown", "id": 1}\n')
+                conn.recv(4096)
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert "warm-loaded: 0 entries, snapshot refused:" in banner
+        assert "not a solver-cache snapshot" in banner
 
     def test_schema_1_snapshot_is_cold_start(self, tmp_path, schema_1_snapshot):
         path = tmp_path / "old.json"

@@ -98,3 +98,36 @@ class TestPoolSweep:
         b = wide.metric_matrix("weibull", "efficiency")
         assert np.allclose(a, b)
         assert wide.machines() == serial.machines()
+
+
+class TestOneReplayCall:
+    def test_serial_pool_matches_per_model_replays(self, pool, sweep):
+        """The serial sweep hands every (machine, model) to one
+        ``replay_batch`` call, so its lock-step fill solves every fitted
+        model together; each result is the one a per-(machine, model)
+        call gives, bitwise."""
+        from repro.core import SolverCache, use_solver_cache
+        from repro.simulation.runner import _fit_machine, _replay_durations, _replay_model
+
+        expected = []
+        with use_solver_cache(SolverCache()):
+            for trace in pool:
+                replay = _replay_durations(trace, SMALL_SETTINGS)
+                for model_name, dist in _fit_machine(trace, SMALL_SETTINGS):
+                    expected += _replay_model(dist, replay, trace.machine_id, model_name, SMALL_SETTINGS)
+        assert list(sweep.results) == expected
+
+    def test_one_replay_batch_call(self, pool, monkeypatch):
+        import repro.simulation.runner as runner
+
+        calls = []
+        real = runner.replay_batch
+
+        def counting(items):
+            calls.append(len(items))
+            return real(items)
+
+        monkeypatch.setattr(runner, "replay_batch", counting)
+        simulate_pool(pool, SMALL_SETTINGS)
+        n_items = len(pool.traces) * len(SMALL_SETTINGS.model_names) * len(SMALL_SETTINGS.checkpoint_costs)
+        assert calls == [n_items]

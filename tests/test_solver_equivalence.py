@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.optimizer as optimizer_module
 import repro.distributions.conditional as conditional_module
 import repro.distributions.weibull as weibull_module
 from repro.core import (
@@ -31,7 +32,9 @@ from repro.core import (
 from repro.core.markov import MarkovRows
 from repro.core.optimizer import optimize_intervals_batch
 from repro.core.schedule import fill_schedules
-from repro.distributions import Exponential, Hyperexponential, Weibull
+from repro.distributions import Exponential, Hyperexponential, LogNormal, Pareto, ProductAvailability, Weibull
+from repro.distributions.base import AvailabilityDistribution
+from repro.distributions.conditional import ConditionalDistribution
 from repro.serve.registry import TenantRegistry
 from repro.serve.server import ScheduleServer, ServerConfig
 from tests.solver_oracle import minimize_positive_hybrid, use_golden_solver
@@ -178,10 +181,26 @@ class TestBatchedObjective:
 # ----------------------------------------------------------------------
 # bitwise equivalence of every solve path
 # ----------------------------------------------------------------------
-_ROW_DISTS = [dist for dist, _ in CASES.values()]
+#: one model per row kind the solver evaluates: the three family kernels
+#: (several fitted instances each, one Weibull with a shape numpy's pow
+#: treats specially) and generic blocks of their own
+_ROW_DISTS = [
+    CASES["weib-heavy"][0],
+    SWEEP_FIT[0],
+    Weibull(0.5, 700.0),
+    CASES["exp"][0],
+    CASES["hyper2"][0],
+    CASES["hyper3"][0],
+    Hyperexponential([0.9, 0.1], [1.0 / 30.0, 1.0 / 5e4]),
+    LogNormal(7.0, 1.5),
+    Pareto(1.5, 100.0),
+    ProductAvailability([Weibull(0.6, 2000.0), Exponential(1.0 / 8000.0)]),
+    ConditionalDistribution(Weibull(0.43, 3409.0), 500.0),
+]
 _ROW_COSTS = [COSTS, CheckpointCosts.symmetric(50.0), CheckpointCosts(475.0, 300.0, 20.0)]
 _rows = st.lists(
     st.tuples(
+        st.sampled_from(range(len(_ROW_DISTS))),
         st.sampled_from([0.0, 77.0, 3409.0, 40000.0, 2e5, 4e6]),
         st.sampled_from(range(len(_ROW_COSTS))),
     ),
@@ -191,23 +210,31 @@ _rows = st.lists(
 
 
 class TestBitwiseEquivalence:
-    @given(st.sampled_from(range(len(_ROW_DISTS))), _rows, st.randoms(use_true_random=False), st.integers(1, 3))
+    @given(_rows, st.randoms(use_true_random=False), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
-    def test_split_reorder_pad_leave_rows_unchanged(self, d, rows, rnd, chunk):
-        """Splitting, reordering or padding a batch changes no row's result."""
-        dist = _ROW_DISTS[d]
-        ages = [age for age, _ in rows]
-        costs = [_ROW_COSTS[c] for _, c in rows]
+    def test_split_reorder_pad_leave_rows_unchanged(self, rows, rnd, chunk):
+        """Splitting, reordering or padding a batch changes no row's
+        result, and each row is its model's lone solve -- with rows of
+        many fitted models and families in one call: Weibull (deep-tail
+        ages included), exponential, hyperexponential k = 2 and 3,
+        lognormal, Pareto, a product and a conditional."""
+        dists = [_ROW_DISTS[d] for d, _, _ in rows]
+        ages = [age for _, age, _ in rows]
+        costs = [_ROW_COSTS[c] for _, _, c in rows]
         with use_solver_cache(None):
-            whole = optimize_intervals_batch(dist, costs, ages)
+            whole = optimize_intervals_batch(dists, costs, ages)
+            lone = [optimize_interval(d, c, age=a) for d, c, a in zip(dists, costs, ages, strict=True)]
             order = list(range(len(rows)))
             rnd.shuffle(order)
-            pad_ages = [*(ages[i] for i in order), 123.0, 9e5]
-            pad_costs = [*(costs[i] for i in order), CheckpointCosts.symmetric(2000.0), COSTS]
-            padded = optimize_intervals_batch(dist, pad_costs, pad_ages)
+            padded = optimize_intervals_batch(
+                [*(dists[i] for i in order), _ROW_DISTS[0], _ROW_DISTS[4]],
+                [*(costs[i] for i in order), CheckpointCosts.symmetric(2000.0), COSTS],
+                [*(ages[i] for i in order), 123.0, 9e5],
+            )
             split = []
             for k in range(0, len(rows), chunk):
-                split += optimize_intervals_batch(dist, costs[k : k + chunk], ages[k : k + chunk])
+                split += optimize_intervals_batch(dists[k : k + chunk], costs[k : k + chunk], ages[k : k + chunk])
+        assert whole == lone
         assert split == whole
         for pos, i in enumerate(order):
             assert padded[pos] == whole[i]
@@ -241,6 +268,60 @@ class TestBitwiseEquivalence:
                 for i in range(n):
                     opt = sched.interval(i)
                     assert opt == _cold(dist, opt.age, costs)
+
+
+def _scalar_mrl(dist, age):
+    """One scalar mean residual life through the generic survival /
+    partial-expectation form (the exponential's constant excepted), as
+    the bounds were computed before the Weibull and hyperexponential
+    gained array forms."""
+    if isinstance(dist, Exponential):
+        return float(dist.mean_residual_life(float(age)))
+    return float(AvailabilityDistribution.mean_residual_life(dist, float(age)))
+
+
+def _scalar_bounds(dist, age):
+    """``t_max`` from one scalar mean residual life."""
+    mrl = _scalar_mrl(dist, age)
+    if not math.isfinite(mrl) or mrl <= 0.0:
+        mrl = max(dist.mean(), 1.0)
+    return min(max(1e4 * mrl, 1e6), 1e9), mrl
+
+
+class TestResolveBounds:
+    """A call's search bounds come from one array mean residual life per
+    fitted model; each is the scalar call's float."""
+
+    def _check(self, dist, ages, monkeypatch):
+        monkeypatch.setattr(optimizer_module, "_TMAX_MEMO", {})
+        many = optimizer_module._resolve_bounds_many(dist, dist.fingerprint(), ages)
+        assert many == [_scalar_bounds(dist, age) for age in ages]
+        array = np.asarray(dist.mean_residual_life(np.array(ages, dtype=np.float64)))
+        assert array.tolist() == [_scalar_mrl(dist, a) for a in ages]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cases(self, name, monkeypatch):
+        dist, ages = CASES[name]
+        self._check(dist, list(ages), monkeypatch)
+
+    @given(
+        st.sampled_from([*sorted(CASES), "sweep-fit"]),
+        st.lists(st.floats(min_value=0.0, max_value=1e7), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_ages(self, name, ages):
+        dist = SWEEP_FIT[0] if name == "sweep-fit" else CASES[name][0]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self._check(dist, ages, monkeypatch)
+
+    def test_memo_hits_and_misses_mix(self, monkeypatch):
+        dist, ages = CASES["weib-heavy"]
+        monkeypatch.setattr(optimizer_module, "_TMAX_MEMO", {})
+        optimizer_module._resolve_bounds_many(dist, dist.fingerprint(), list(ages[:2]))
+        mixed = [ages[3], ages[0], ages[3], ages[1]]
+        assert optimizer_module._resolve_bounds_many(dist, dist.fingerprint(), mixed) == [
+            _scalar_bounds(dist, age) for age in mixed
+        ]
 
 
 def _served(dist, costs, ages):

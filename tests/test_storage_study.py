@@ -83,3 +83,51 @@ class TestCli:
         out = buf.getvalue()
         assert "Storage study" in out
         assert "inc d=0.10 full@10" in out
+
+
+class TestOneReplayCall:
+    def test_matches_per_model_replays(self, study):
+        """The study replays every (machine, model, policy) with one
+        ``replay_batch`` call; each result is the one a per-(machine,
+        model) call gives, bitwise."""
+        import zlib
+
+        import numpy as np
+
+        from repro.core import SolverCache, use_solver_cache
+        from repro.distributions.fitting import fit_model
+        from repro.simulation.accounting import SimulationConfig
+        from repro.simulation.batch_replay import BatchReplayItem, replay_batch
+        from repro.simulation.trace_sim import model_schedule
+        from repro.traces.synthetic import generate_condor_pool
+        from repro.traces.model import TRAINING_SET_SIZE
+
+        pool = generate_condor_pool(SMALL_POOL, np.random.default_rng(2005))
+        expected: dict[tuple[str, str], list] = {}
+        with use_solver_cache(SolverCache()):
+            for trace in pool:
+                train, _ = trace.split(TRAINING_SET_SIZE)
+                key = zlib.crc32(trace.machine_id.encode("utf-8"))
+                rng = np.random.default_rng(np.random.SeedSequence([424242, key]))
+                for model in study.model_names:
+                    dist = fit_model(model, train, rng=rng)
+                    items = []
+                    for _name, policy in STUDY_POLICIES:
+                        config = SimulationConfig(
+                            checkpoint_cost=study.checkpoint_cost,
+                            checkpoint_size_mb=study.checkpoint_size_mb,
+                            storage=policy,
+                        )
+                        items.append(
+                            BatchReplayItem(
+                                schedule=model_schedule(dist, config),
+                                durations=trace.durations,
+                                config=config,
+                                machine_id=trace.machine_id,
+                                model_name=model,
+                            )
+                        )
+                    for (name, _), result in zip(STUDY_POLICIES, replay_batch(items), strict=True):
+                        expected.setdefault((model, name), []).append(result)
+        assert study.results == expected
+
