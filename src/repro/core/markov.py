@@ -39,11 +39,11 @@ efficiency.
 from __future__ import annotations
 
 import math
-import weakref
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.distributions.base import (
     ArrayLike,
@@ -56,25 +56,6 @@ from repro.distributions.conditional import ConditionalDistribution
 from repro.distributions.exponential import Exponential
 
 __all__ = ["CheckpointCosts", "IntervalTransitions", "MarkovIntervalModel", "MarkovRows"]
-
-#: each distribution's unconditional ``(F, PE)`` kernel (the state-2 pair
-#: of every solve on it), built on its first solve
-_UNCONDITIONAL: weakref.WeakKeyDictionary[AvailabilityDistribution, CdfPeKernel] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _unconditional_kernel(distribution: AvailabilityDistribution) -> CdfPeKernel:
-    try:
-        kernel = _UNCONDITIONAL.get(distribution)
-    except TypeError:  # an unhashable subclass: built per solve
-        return type(distribution).family_kernel([distribution], np.zeros(1))
-    if kernel is None:
-        kernel = _UNCONDITIONAL[distribution] = type(distribution).family_kernel(
-            [distribution], np.zeros(1)
-        )
-    return kernel
-
 
 @dataclass(frozen=True)
 class CheckpointCosts:
@@ -228,11 +209,11 @@ class MarkovRows:
     distribution shared by every row or one per row.  The distributions
     are touched only through fused kernels built once
     (:meth:`~repro.distributions.base.AvailabilityDistribution.family_kernel`):
-    rows are grouped into contiguous blocks whose distributions share a
+    rows are grouped into one block per
     :meth:`~repro.distributions.base.AvailabilityDistribution.kernel_family`
-    (all Weibull fits, say), and each block gets the future-lifetime
-    ``(F, PE)`` at its rows' ages for the state-0 transitions and the
-    unconditional pair for the state-2 ones.  Every operation is
+    (all Weibull fits, say), wherever they sit in the input, and each
+    block gets the future-lifetime ``(F, PE)`` at its rows' ages for the
+    state-0 transitions and the unconditional pair for the state-2 ones.  Every operation is
     elementwise within a row, so a row's values do not depend on the rows
     beside it, nor on which block holds it.
     """
@@ -241,8 +222,9 @@ class MarkovRows:
 
     _checkpoint: FloatArray
     _restart: FloatArray
-    #: (rows, state-0 kernel, state-2 kernel or None when it equals state 0)
-    _blocks: list[tuple[slice, CdfPeKernel, CdfPeKernel | None]]
+    #: (rows, state-0 kernel, state-2 kernel or None when it equals state
+    #: 0); the rows are every row for a lone block, else their indices
+    _blocks: list[tuple[slice | NDArray[np.intp], CdfPeKernel, CdfPeKernel | None]]
     #: L + R equals C on every row, so the two horizons are one array
     _same_horizon: bool
     _whole: bool
@@ -264,32 +246,30 @@ class MarkovRows:
         ).reshape(-1, 1)
         self._same_horizon = bool((self._checkpoint == self._restart).all())
         if isinstance(distributions, AvailabilityDistribution):
-            self._blocks = [self._block([distributions], a, slice(0, a.size))]
+            self._blocks = [self._block([distributions], a, slice(None))]
         else:
             rows = list(distributions)
             if len(rows) != a.size:
                 raise ValueError(f"got {len(rows)} distributions for {a.size} ages")
+            # one block per kernel family, its rows in input order
             families: dict[int, Hashable] = {}
-            for d in rows:
+            groups: dict[Hashable, list[int]] = {}
+            for i, d in enumerate(rows):
                 if id(d) not in families:
                     families[id(d)] = d.kernel_row(0.0)[0].kernel_family()
-            keys = [families[id(d)] for d in rows]
+                groups.setdefault(families[id(d)], []).append(i)
             self._blocks = []
-            start = 0
-            while start < a.size:
-                stop = start + 1
-                while stop < a.size and keys[stop] == keys[start]:
-                    stop += 1
-                block = rows[start:stop]
+            for members in groups.values():
+                block = [rows[i] for i in members]
                 if all(d is block[0] for d in block):
                     block = block[:1]
-                self._blocks.append(self._block(block, a[start:stop], slice(start, stop)))
-                start = stop
+                at: slice | NDArray[np.intp] = slice(None) if len(groups) == 1 else np.array(members)
+                self._blocks.append(self._block(block, a[at], at))
         self._whole = len(self._blocks) == 1
 
     def _block(
-        self, dists: list[AvailabilityDistribution], ages: FloatArray, rows: slice
-    ) -> tuple[slice, CdfPeKernel, CdfPeKernel | None]:
+        self, dists: list[AvailabilityDistribution], ages: FloatArray, rows: slice | NDArray[np.intp]
+    ) -> tuple[slice | NDArray[np.intp], CdfPeKernel, CdfPeKernel | None]:
         """The state-0 and state-2 kernels of one family block; ``dists``
         is one distribution per row, or one standing for every row."""
         if any(isinstance(d, ConditionalDistribution) for d in dists):
@@ -314,8 +294,6 @@ class MarkovRows:
         fresh = issubclass(family, Exponential) or bool((ages0 == ages2).all())
         if fresh and (self._same_horizon or bool((self._checkpoint[rows] == self._restart[rows]).all())):
             return rows, state0, None
-        if len(dists) == 1 and not bool(np.any(ages2)):
-            return rows, state0, _unconditional_kernel(dists[0])
         return rows, state0, family.family_kernel(dists, ages2)
 
     def evaluate(self, T: FloatArray) -> FloatArray:

@@ -31,7 +31,7 @@ process-global :class:`~repro.core.solver_cache.SolverCache` keyed on
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import cast
 
@@ -227,16 +227,8 @@ def optimize_intervals_batch(
         else:
             misses.append((i, key, dist, c, a))
     if misses:
-        # one kernel block per model family (rows in order within it) and
-        # one bounds call per fitted model
-        family_rank: dict[Hashable, int] = {}
-        model_rank: dict[int, int] = {}
-        for m in misses:
-            if id(m[2]) not in model_rank:
-                family = m[2].kernel_row(0.0)[0].kernel_family()
-                model_rank[id(m[2])] = family_rank.setdefault(family, len(family_rank))
-        if len(family_rank) > 1:
-            misses.sort(key=lambda m: model_rank[id(m[2])])
+        # one bounds call per fitted model (MarkovRows groups the rows
+        # into kernel blocks)
         models: dict[int, list[int]] = {}
         for k, m in enumerate(misses):
             models.setdefault(id(m[2]), []).append(k)

@@ -190,22 +190,15 @@ class CheckpointSchedule:
         # T + C + L after interval i did
         return self._ages[-1] + self._intervals[-1].T_opt + self.costs.checkpoint + self.costs.latency
 
-    def _known_tail(self) -> tuple[str, OptimalInterval] | None:
-        """The interval every later index repeats, when the tail is known
-        (memoryless model, or converged schedule), with its kind."""
-        if self._memoryless and self._intervals:
-            return "memoryless", self._intervals[0]
-        if self._converged_at is not None:
-            return "converged", self._intervals[-1]
-        return None
-
     def _reuse(self) -> OptimalInterval | None:
-        """Append the next interval without a solve when the tail is known;
-        returns it, else None."""
-        tail = self._known_tail()
-        if tail is None:
+        """Append the next interval without a solve when the tail is known
+        (memoryless model, or converged schedule); returns it, else None."""
+        if self._memoryless and self._intervals:
+            kind, opt = "memoryless", self._intervals[0]
+        elif self._converged_at is not None:
+            kind, opt = "converged", self._intervals[-1]
+        else:
             return None
-        kind, opt = tail
         age = self._next_age()
         self._intervals.append(opt)
         self._ages.append(age)
@@ -216,33 +209,6 @@ class CheckpointSchedule:
         if trace is not None:
             trace.point("opt", "cache_hit", ts=age, args={"kind": kind})
         return opt
-
-    def _reuse_until(self, total: float, budget: float, overhead: float) -> float:
-        """Append known-tail intervals (as :meth:`_reuse` does, one by one)
-        while the covered ``total`` of ``T + overhead`` stays within
-        ``budget`` and the schedule below :data:`MAX_FILL_LENGTH`;
-        returns the new total.  Stops early when the next interval needs
-        a solve."""
-        tail = self._known_tail()
-        if tail is None:
-            return total
-        kind, opt = tail
-        intervals, ages = self._intervals, self._ages
-        step = opt.T_opt + overhead
-        trace = _trace_active()
-        appended = 0
-        while total <= budget and len(intervals) < MAX_FILL_LENGTH:
-            age = ages[-1] + intervals[-1].T_opt + self.costs.checkpoint + self.costs.latency
-            intervals.append(opt)
-            ages.append(age)
-            if trace is not None:
-                trace.point("opt", "cache_hit", ts=age, args={"kind": kind})
-            total += step
-            appended += 1
-        reg = _metrics()
-        if reg is not None and appended:
-            reg.inc(f"schedule.reuses.{kind}", appended)
-        return total
 
     def _append_solved(self, opt: OptimalInterval, age: float) -> None:
         idx = len(self._intervals)
@@ -304,10 +270,10 @@ def fill_schedules(
     about one solve however many schedules share it and a fill takes as
     many steps as its longest chain.  A schedule stops at the first
     interval whose cumulative ``T + overhead`` exceeds its budget;
-    memoryless and converged tails are appended without solves.  The intervals are the ones the lazy
-    per-interval path would produce: every row of a batched solve is
-    bitwise the lone solve.  No schedule grows past
-    :data:`MAX_FILL_LENGTH` intervals.
+    memoryless and converged tails are appended without solves.  The
+    intervals are the ones the lazy per-interval path would produce:
+    every row of a batched solve is bitwise the lone solve.  No schedule
+    grows past :data:`MAX_FILL_LENGTH` intervals.
     """
     if not (len(schedules) == len(budgets) == len(overheads)):
         raise ValueError("need one budget and one overhead per schedule")
@@ -326,12 +292,13 @@ def fill_schedules(
     while live:
         solve: list[int] = []
         for j in live:
-            # a live schedule is short; a known tail may cover it
-            if schedules[j]._known_tail() is not None:
-                totals[j] = schedules[j]._reuse_until(totals[j], budgets[j], overheads[j])
-                if not short(j):
-                    continue
-            solve.append(j)
+            sched = schedules[j]
+            while short(j):
+                opt = sched._reuse()
+                if opt is None:
+                    solve.append(j)
+                    break
+                totals[j] += opt.T_opt + overheads[j]
         if solve:
             _solve_next([schedules[j] for j in solve])
             for j in solve:

@@ -1,12 +1,15 @@
 """Tests for Vaidya's three-state Markov interval model."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core import CheckpointCosts, MarkovIntervalModel
-from repro.distributions import Exponential, Hyperexponential, Weibull
+from repro.core import CheckpointCosts, MarkovIntervalModel, optimize_interval
+from repro.core.markov import MarkovRows
+from repro.distributions import Exponential, Hyperexponential, LogNormal, Pareto, Weibull
 
 
 @pytest.fixture
@@ -139,3 +142,38 @@ class TestHyperexponentialConditioningEffect:
         g0 = MarkovIntervalModel(h, costs, age=0.0).gamma(1000.0)
         g1 = MarkovIntervalModel(h, costs, age=4000.0).gamma(1000.0)
         assert g1 < g0  # less expected retry cost once the fast phase is ruled out
+
+
+class TestMarkovRows:
+    def test_rows_group_by_family_wherever_they_sit(self):
+        """Interleaved families make one kernel block each, and every row
+        is bitwise its lone evaluation."""
+        w1, w2 = Weibull(0.43, 3409.0), Weibull(1.7, 500.0)
+        e = Exponential(1.0 / 5000.0)
+        h = Hyperexponential([0.5, 0.5], [1.0 / 100.0, 1.0 / 9000.0])
+        dists = [w1, e, w2, h, e, w1]
+        ages = [0.0, 10.0, 300.0, 50.0, 0.0, 5000.0]
+        C, R, L = [60.0, 60.0, 30.0, 90.0, 60.0, 60.0], [60.0] * 6, [0.0, 5.0, 0.0, 0.0, 0.0, 5.0]
+        rows = MarkovRows(dists, ages, C, R, L)
+        assert len(rows._blocks) == 3
+        T = np.exp(np.random.default_rng(0).uniform(0.0, np.log(1e6), (6, 9)))
+        got = rows.gamma(T)
+        for i in range(6):
+            lone = MarkovRows(dists[i], [ages[i]], [C[i]], [R[i]], [L[i]]).gamma(T[i : i + 1])
+            assert np.array_equal(got[i : i + 1], lone), dists[i]
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: LogNormal(7.0, 1.5), lambda: Pareto(1.3, 60.0), lambda: Weibull(0.43, 3409.0)],
+        ids=["lognormal", "pareto", "weibull"],
+    )
+    def test_solved_distribution_is_freed(self, make):
+        """Nothing the solver keeps holds a solved model alive: an aged
+        solve with L + R != C (its own state-2 kernel) leaves the model
+        collectable once the caller drops it."""
+        dist = make()
+        optimize_interval(dist, CheckpointCosts(60.0, 90.0, 5.0), age=3600.0)
+        ref = weakref.ref(dist)
+        del dist
+        gc.collect()
+        assert ref() is None
