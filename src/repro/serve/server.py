@@ -87,6 +87,12 @@ _logger = logging.getLogger("repro.serve")
 #: single synchronous buffer append
 _DRAIN_WATERMARK = 1 << 16
 
+#: a connection reads ahead at most this many batches (``max_batch``
+#: requests each) before it waits for answers: a pipelined client that
+#: outpaces the solver queues in the socket buffers, not as live tasks,
+#: so the daemon's memory does not grow with how far behind it falls
+_READ_AHEAD_BATCHES = 4
+
 
 def _encode(response: dict[str, Any]) -> str:
     """``response`` as one strict-JSON line.  Results are always finite;
@@ -636,13 +642,20 @@ class ScheduleServer:
                     time.perf_counter() - respond0,
                 )
 
+        read_ahead = _READ_AHEAD_BATCHES * self.config.max_batch
+        room = asyncio.Event()
+
         def finish(task: asyncio.Task[None]) -> None:
             tasks.discard(task)
             self._inflight -= 1
+            room.set()
 
         cap = self.config.max_inflight
         try:
             while True:
+                while len(tasks) >= read_ahead:
+                    room.clear()
+                    await room.wait()
                 try:
                     raw = await reader.readline()
                 except ValueError:

@@ -24,6 +24,7 @@ from repro.distributions import Weibull
 from repro.obs.metrics import OVERFLOW_COUNTER, MetricsRegistry
 from repro.obs.metrics import use as use_metrics
 from repro.obs.prometheus import parse_prometheus_text, render_prometheus
+from repro.serve import server as server_module
 from repro.serve.bench import demo_registry, distribution_specs
 from repro.serve.metrics_http import MetricsHttpEndpoint
 from repro.serve.server import ScheduleServer, ServerConfig
@@ -361,6 +362,59 @@ class TestBackpressure:
             responses, rejected = asyncio.run(session())
         assert all(r["ok"] for r in responses)
         assert rejected == 0
+
+    def test_read_ahead_bounds_in_flight(self):
+        """A pipelined client far ahead of the solver is read at most
+        ``_READ_AHEAD_BATCHES * max_batch`` requests ahead of the answers;
+        the rest wait in the socket, and every request is answered."""
+        count, max_batch = 60, 2
+        bound = server_module._READ_AHEAD_BATCHES * max_batch
+
+        async def session():
+            server = ScheduleServer(
+                ServerConfig(batch_window_s=0.01, max_batch=max_batch),
+                registry=demo_registry(),
+            )
+            peak = [0]
+            submit = server.batcher.submit
+
+            async def counted(query):
+                peak[0] = max(peak[0], server._inflight)
+                return await submit(query)
+
+            server.batcher.submit = counted
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(
+                    b"".join(
+                        (
+                            json.dumps(
+                                {"op": "solve", "id": i, "pool": "campus-exp", "age": float(i)}
+                            )
+                            + "\n"
+                        ).encode()
+                        for i in range(count)
+                    )
+                )
+                await writer.drain()
+                responses = [
+                    json.loads(await asyncio.wait_for(reader.readline(), 10.0))
+                    for _ in range(count)
+                ]
+                writer.close()
+                await writer.wait_closed()
+                return responses, peak[0]
+            finally:
+                await server.stop()
+
+        with use_solver_cache(SolverCache()):
+            responses, peak = asyncio.run(session())
+        assert sorted(r["id"] for r in responses) == list(range(count))
+        assert all(r["ok"] for r in responses)
+        assert 0 < peak <= bound < count
 
 
 # ----------------------------------------------------------------------
