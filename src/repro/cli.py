@@ -233,6 +233,8 @@ def main(argv: list[str] | None = None, *, stdout: TextIO | None = None) -> int:
         # experiment parser sees the arguments
         return _dispatch_tool(argv[0], argv[1:], stdout)
     args = build_parser().parse_args(argv)
+    if args.workers < 1:
+        raise SystemExit("error: --workers must be >= 1")
     sink = stdout if stdout is not None else sys.stdout
     if args.out:
         open(args.out, "w").close()  # truncate

@@ -24,14 +24,14 @@ Keys are ``(distribution fingerprint, C, R, L, age bucket)``:
 The search domain is not part of the key: its lower end is a constant
 and its upper end a function of (fingerprint, age).
 
-The cache is **per process** (like the metrics registry) and explicitly
-mergeable across processes: each sweep worker ships
-:meth:`SolverCache.as_dict` back with its results and the parent folds
-it in with :meth:`SolverCache.merge_dict`, so a second sweep in the same
-parent process starts warm even for work done in workers.  Hits, misses
-and evictions are reported through the active metrics registry
-(``opt.cache.hits`` / ``opt.cache.misses`` / ``opt.cache.evictions``)
-and therefore merge across workers exactly like every other counter.
+The cache is **per process** (like the metrics registry) and
+serialisable: :meth:`SolverCache.as_dict` snapshots it and
+:meth:`SolverCache.merge_dict` folds a snapshot in, which is how the
+serve daemon warm-loads at start-up and how its workers' snapshot
+files merge into one.  Hits, misses and evictions are reported through
+the active metrics registry (``opt.cache.hits`` / ``opt.cache.misses``
+/ ``opt.cache.evictions``) and therefore merge across processes exactly
+like every other counter.
 """
 
 from __future__ import annotations
@@ -188,9 +188,8 @@ class SolverCache:
         of entries actually inserted.
 
         ``stats=False`` merges the entries but not the hit/miss/eviction
-        counters -- for repeated snapshots of a long-lived cache (the
-        sweep workers ship their cumulative cache once per task), where
-        adding the counters each time would multi-count them.
+        counters -- for warm-loading a snapshot at start-up, whose
+        counters describe traffic of an earlier process, not this one.
 
         Raises :class:`ValueError`, leaving the cache unchanged, when
         ``data`` is not a solver-cache snapshot of this format (unknown

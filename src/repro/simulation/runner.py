@@ -18,28 +18,26 @@ Table 3 (network load) protocol:
 
 Machines are independent, so the sweep optionally fans out across
 processes (``n_workers``) with a plain ``ProcessPoolExecutor`` -- the
-work is CPU-bound interval optimisation, which releases no GIL.  The
-fan-out is two-phase: each machine's models are fitted exactly once (one
-fit task per machine), then every ``(machine, model)`` replay is
-dispatched as its own dynamically scheduled task carrying only the
-fitted distribution and the replay durations -- not the raw trace -- so
-slow replays (heavy-tailed fits solve many more schedules) no longer
-convoy behind a static chunk assignment.  Worker solver caches are
-shipped back and folded into the parent's, so later sweeps in the same
-process start warm; see ``docs/PERFORMANCE.md``.
+work is CPU-bound interval optimisation, which releases no GIL.  Each
+task is one machine running the serial path's own code,
+:func:`simulate_machine` (fit, then one lock-step ``replay_batch`` over
+the machine's model x cost items), so there is one sweep implementation
+and a fanned-out sweep returns exactly the serial results.  A task ships
+back only its results and, when the parent is collecting them, its
+metrics and trace snapshots; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.core.solver_cache import active_cache as _active_cache
 from repro.distributions.base import AvailabilityDistribution
 from repro.distributions.fitting import MODEL_NAMES, fit_model
 from repro.obs.metrics import MetricsRegistry, active as _metrics, use as _use_metrics
@@ -142,18 +140,6 @@ def _model_items(
     return items
 
 
-def _replay_model(
-    dist: AvailabilityDistribution,
-    replay: np.ndarray,
-    machine_id: str,
-    model_name: str,
-    settings: SweepSettings,
-) -> list[SimulationResult]:
-    """Replay one fitted (machine, model) pair across the cost sweep
-    with one :func:`~repro.simulation.batch_replay.replay_batch` call."""
-    return replay_batch(_model_items(dist, replay, machine_id, model_name, settings))
-
-
 def _machine_items(trace: AvailabilityTrace, settings: SweepSettings) -> list[BatchReplayItem]:
     """Fit every model to one machine and build its sweep's replays."""
     replay = _replay_durations(trace, settings)
@@ -210,51 +196,26 @@ class PoolSweep:
         return tuple(seen)
 
 
-def _fit_machine_star(
-    args: tuple[AvailabilityTrace, SweepSettings],
-) -> list[tuple[str, AvailabilityDistribution]]:
-    """Worker entry point for the fit phase: one machine, all models."""
-    trace, settings = args
-    return _fit_machine(trace, settings)
+def _simulate_machine_task(
+    args: tuple[AvailabilityTrace, SweepSettings, bool, bool],
+) -> tuple[list[SimulationResult], dict[str, Any] | None, dict[str, Any] | None]:
+    """Worker entry point: one machine's sweep, plus (when the parent is
+    collecting metrics and/or a trace) snapshots of what it recorded.
 
-
-def _replay_model_star(
-    args: tuple[AvailabilityDistribution, np.ndarray, str, str, SweepSettings, bool, bool],
-) -> tuple[
-    list[SimulationResult],
-    dict[str, Any] | None,
-    dict[str, Any] | None,
-    dict[str, Any] | None,
-]:
-    """Worker entry point for the replay phase: one fitted (machine,
-    model) pair across the cost sweep, plus (when the parent is
-    collecting metrics and/or a trace) snapshots of what the work
-    recorded.
-
-    Worker processes do not inherit the parent's registry, recorder or
-    solver cache, so each call records into private metrics/trace sinks
-    and ships their ``as_dict()`` back with the results; the worker's
-    process-global solver cache is snapshot too, so the parent's cache
-    ends a sweep holding every solve done anywhere in the fan-out.
+    Worker processes do not share the parent's registry or recorder, so
+    the task records into private sinks and ships their ``as_dict()``
+    back with the results.
     """
-    dist, replay, machine_id, model_name, settings, collect_metrics, collect_trace = args
-    metrics_snapshot: dict[str, Any] | None = None
-    trace_snapshot: dict[str, Any] | None = None
-    if not collect_metrics and not collect_trace:
-        results = _replay_model(dist, replay, machine_id, model_name, settings)
-    else:
-        with _use_metrics() as reg:
-            if collect_trace:
-                with _use_trace() as rec:
-                    results = _replay_model(dist, replay, machine_id, model_name, settings)
-                trace_snapshot = rec.as_dict()
-            else:
-                results = _replay_model(dist, replay, machine_id, model_name, settings)
-        if collect_metrics:
-            metrics_snapshot = reg.as_dict()
-    cache = _active_cache()
-    cache_snapshot = cache.as_dict() if cache is not None else None
-    return results, metrics_snapshot, trace_snapshot, cache_snapshot
+    trace, settings, collect_metrics, collect_trace = args
+    with ExitStack() as stack:
+        reg = stack.enter_context(_use_metrics()) if collect_metrics else None
+        rec = stack.enter_context(_use_trace()) if collect_trace else None
+        results = simulate_machine(trace, settings)
+    return (
+        results,
+        reg.as_dict() if reg is not None else None,
+        rec.as_dict() if rec is not None else None,
+    )
 
 
 def simulate_pool(
@@ -266,9 +227,10 @@ def simulate_pool(
     """Run the full sweep over a machine pool.
 
     ``n_workers=None`` or ``1`` runs serially; larger values fan machines
-    out across processes.  When a metrics registry is active (see
-    :mod:`repro.obs`), per-worker registries are merged back into it so
-    fan-out is invisible in the run report.
+    out across at most that many processes, one :func:`simulate_machine`
+    task per machine.  When a metrics registry or trace recorder is
+    active (see :mod:`repro.obs`), each task's snapshots are merged back
+    into it in machine order, so fan-out is invisible in the run report.
     """
     if settings is None:
         settings = SweepSettings()
@@ -279,53 +241,25 @@ def simulate_pool(
     if parent_reg is not None:
         parent_reg.inc("sim.pool.sweeps")
         parent_reg.inc("sim.pool.machines", len(traces))
-    parent_cache = _active_cache()
     if n_workers and n_workers > 1 and len(traces) > 1:
+        # no more processes than machines: under ``fork`` the executor
+        # starts all ``max_workers`` processes at the first submit
+        n_procs = min(n_workers, len(traces))
         if parent_reg is not None:
-            parent_reg.set_gauge("sim.pool.workers", n_workers)
+            parent_reg.set_gauge("sim.pool.workers", n_procs)
         collect = (parent_reg is not None, parent_trace is not None)
-        with ProcessPoolExecutor(max_workers=n_workers) as pool_exec:
-            # phase 1: one fit task per machine.  Each fit is submitted
-            # individually (dynamic dispatch, no static chunks) so an
-            # expensive EM fit on one machine never delays the replays
-            # of machines that finished fitting early: phase 2 tasks for
-            # a machine are enqueued the moment its fits complete.
-            fit_futures: dict[Future[list[tuple[str, AvailabilityDistribution]]], int] = {
-                pool_exec.submit(_fit_machine_star, (t, settings)): i
-                for i, t in enumerate(traces)
-            }
-            replay_futures: dict[tuple[int, int], Future[Any]] = {}
-            pending = set(fit_futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    mi = fit_futures[fut]
-                    trace = traces[mi]
-                    replay = _replay_durations(trace, settings)
-                    for mj, (model_name, dist) in enumerate(fut.result()):
-                        replay_futures[(mi, mj)] = pool_exec.submit(
-                            _replay_model_star,
-                            (dist, replay, trace.machine_id, model_name, settings, *collect),
-                        )
-            # collect in deterministic (machine, model) order so results
-            # and snapshot merges are independent of worker scheduling
-            for mi in range(len(traces)):
-                for mj in range(len(settings.model_names)):
-                    chunk, metrics_snapshot, trace_snapshot, cache_snapshot = (
-                        replay_futures[(mi, mj)].result()
-                    )
-                    all_results.extend(chunk)
-                    if metrics_snapshot is not None and parent_reg is not None:
-                        parent_reg.merge_dict(metrics_snapshot)
-                    if trace_snapshot is not None and parent_trace is not None:
-                        parent_trace.merge_dict(trace_snapshot)
-                    if cache_snapshot is not None and parent_cache is not None:
-                        # traffic stats stay out: each worker snapshot is
-                        # cumulative over its process lifetime, so adding
-                        # them per task would multi-count, and the hit /
-                        # miss counters already arrive via the metrics
-                        # snapshot above
-                        parent_cache.merge_dict(cache_snapshot, stats=False)
+        with ProcessPoolExecutor(max_workers=n_procs) as pool_exec:
+            # one task per machine; ``map`` yields in machine order, so
+            # results and snapshot merges do not depend on scheduling
+            tasks = [(trace, settings, *collect) for trace in traces]
+            for results, metrics_snapshot, trace_snapshot in pool_exec.map(
+                _simulate_machine_task, tasks
+            ):
+                all_results.extend(results)
+                if metrics_snapshot is not None and parent_reg is not None:
+                    parent_reg.merge_dict(metrics_snapshot)
+                if trace_snapshot is not None and parent_trace is not None:
+                    parent_trace.merge_dict(trace_snapshot)
     else:
         if parent_reg is not None:
             parent_reg.set_gauge("sim.pool.workers", 1)

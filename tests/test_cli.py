@@ -84,6 +84,11 @@ class TestToolSubcommands:
 
 
 class TestCommands:
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(SystemExit, match="error: --workers"):
+            main(["table1", "--workers", workers], stdout=io.StringIO())
+
     def test_table2_small(self):
         code, out = run_cli("table2", "--synthetic-points", "300")
         assert code == 0

@@ -83,21 +83,40 @@ class TestPoolSweep:
     def test_parallel_matches_serial(self, pool):
         serial = simulate_pool(pool, SMALL_SETTINGS, n_workers=1)
         parallel = simulate_pool(pool, SMALL_SETTINGS, n_workers=2)
-        a = serial.metric_matrix("hyperexp2", "efficiency")
-        b = parallel.metric_matrix("hyperexp2", "efficiency")
-        assert np.allclose(a, b)
+        assert parallel.results == serial.results
 
     def test_more_workers_than_machines(self, pool):
-        # regression guard for the old static ``map(chunksize=...)``
-        # heuristic, which degenerated when the pool was smaller than
-        # the worker count; dynamic dispatch must handle it untroubled
         traces = list(pool)[:2]
         serial = simulate_pool(traces, SMALL_SETTINGS, n_workers=1)
         wide = simulate_pool(traces, SMALL_SETTINGS, n_workers=6)
-        a = serial.metric_matrix("weibull", "efficiency")
-        b = wide.metric_matrix("weibull", "efficiency")
-        assert np.allclose(a, b)
-        assert wide.machines() == serial.machines()
+        assert wide.results == serial.results
+
+    def test_pool_capped_at_machine_count(self, pool, monkeypatch):
+        """Under ``fork`` the executor starts all ``max_workers``
+        processes at once, so the fan-out asks for no more than one per
+        machine.  The fake executor runs tasks inline: no process starts."""
+        import repro.simulation.runner as runner
+
+        requested = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InlineExecutor)
+        traces = list(pool)[:2]
+        wide = simulate_pool(traces, SMALL_SETTINGS, n_workers=64)
+        assert requested == [2]
+        assert wide.results == simulate_pool(traces, SMALL_SETTINGS).results
 
 
 class TestOneReplayCall:
@@ -107,14 +126,17 @@ class TestOneReplayCall:
         model together; each result is the one a per-(machine, model)
         call gives, bitwise."""
         from repro.core import SolverCache, use_solver_cache
-        from repro.simulation.runner import _fit_machine, _replay_durations, _replay_model
+        from repro.simulation.batch_replay import replay_batch
+        from repro.simulation.runner import _fit_machine, _model_items, _replay_durations
 
         expected = []
         with use_solver_cache(SolverCache()):
             for trace in pool:
                 replay = _replay_durations(trace, SMALL_SETTINGS)
                 for model_name, dist in _fit_machine(trace, SMALL_SETTINGS):
-                    expected += _replay_model(dist, replay, trace.machine_id, model_name, SMALL_SETTINGS)
+                    expected += replay_batch(
+                        _model_items(dist, replay, trace.machine_id, model_name, SMALL_SETTINGS)
+                    )
         assert list(sweep.results) == expected
 
     def test_one_replay_batch_call(self, pool, monkeypatch):
