@@ -38,7 +38,7 @@ from typing import cast
 import numpy as np
 
 from repro.core.markov import CheckpointCosts, MarkovIntervalModel, MarkovRows
-from repro.core.solver_cache import SolverCache, active_cache
+from repro.core.solver_cache import SolverCache, SolverCacheKey, active_cache
 from repro.distributions.base import AvailabilityDistribution, FloatArray
 from repro.numerics.optimize import _minimize_rows, minimize_positive_scalar
 from repro.obs.metrics import active as _metrics
@@ -167,6 +167,8 @@ def optimize_intervals_batch(
     distribution: AvailabilityDistribution | Sequence[AvailabilityDistribution],
     costs: CheckpointCosts | Sequence[CheckpointCosts],
     ages: Iterable[float],
+    *,
+    cache_hits: list[bool | None] | None = None,
 ) -> list[OptimalInterval]:
     """Solve many (distribution, costs, elapsed uptime) rows together.
 
@@ -180,8 +182,8 @@ def optimize_intervals_batch(
     many fitted models (:class:`~repro.core.markov.MarkovRows` evaluates
     each model family as one block).  This is what the lock-step schedule
     fill (one call per step across every schedule of a study) and the
-    ``repro serve`` micro-batcher (one call per burst of queries on a
-    model) run.
+    ``repro serve`` micro-batcher (one call per flush, across every
+    model and cost set of the flush) run.
 
     A row's result is bitwise independent of the other rows in the
     call: the row solver's passes are elementwise within a row, so the
@@ -191,7 +193,12 @@ def optimize_intervals_batch(
     ``tests/test_solver_equivalence.py``) gate this.
 
     Results are returned in input order.  Every age must be finite and
-    non-negative.
+    non-negative.  When ``cache_hits`` is given, one entry per row is
+    appended to it: ``True`` for a row answered by the solver cache,
+    ``False`` for a row the call solved, and ``None`` for a row that
+    repeats an earlier row of the call or when no cache is active (no
+    lookup).  The serve batcher attributes cache traffic to tenants from
+    it.
     """
     ages = [float(a) for a in ages]
     n = len(ages)
@@ -211,41 +218,60 @@ def optimize_intervals_batch(
         raise ValueError("age must be finite and non-negative")
     cache = active_cache()
     out: list[OptimalInterval | None] = [None] * n
-    misses: list[tuple[int, tuple[object, ...], AvailabilityDistribution, CheckpointCosts, float]] = []
+    # a row repeating an earlier row's model and cost objects and age is
+    # found on a flat tuple of the three; only the rest build their cache
+    # key, once, and dedupe on it (equal models in other objects, ages in
+    # one 1e-9 s bucket)
+    seen: dict[tuple[int, int, float], int] = {}
+    first: dict[SolverCacheKey, int] = {}
+    rows: list[int] = []
+    keys: list[SolverCacheKey] = []
     duplicates: list[tuple[int, int]] = []
-    first: dict[tuple[object, ...], int] = {}
     for i, (dist, c, a) in enumerate(zip(row_dists, row_costs, ages, strict=True)):
-        key = SolverCache.key(dist.fingerprint(), c.checkpoint, c.recovery, c.latency, a)
-        j = first.get(key)
-        if j is not None:
-            duplicates.append((i, j))
-            continue
-        first[key] = i
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            out[i] = hit
+        j = seen.setdefault((id(dist), id(c), a), i)
+        if j == i:
+            key = SolverCache.key(dist.fingerprint(), c.checkpoint, c.recovery, c.latency, a)
+            j = first.setdefault(key, i)
+            if j == i:
+                rows.append(i)
+                keys.append(key)
+                continue
+        duplicates.append((i, j))
+    found: list[OptimalInterval | None] = (
+        cache.lookup(keys) if cache is not None else [None] * len(keys)
+    )
+    misses: list[tuple[int, SolverCacheKey]] = []
+    for i, key, hit in zip(rows, keys, found, strict=True):
+        if hit is None:
+            misses.append((i, key))
         else:
-            misses.append((i, key, dist, c, a))
+            out[i] = hit
     if misses:
         # one bounds call per fitted model (MarkovRows groups the rows
         # into kernel blocks)
         models: dict[int, list[int]] = {}
-        for k, m in enumerate(misses):
-            models.setdefault(id(m[2]), []).append(k)
-        bounds = [0.0] * len(misses)
-        for ks in models.values():
-            dist = misses[ks[0]][2]
-            resolved = _resolve_bounds_many(dist, dist.fingerprint(), [misses[k][4] for k in ks])
-            for k, (t_max, _) in zip(ks, resolved, strict=True):
-                bounds[k] = t_max
+        for i, _ in misses:
+            models.setdefault(id(row_dists[i]), []).append(i)
+        bounds: dict[int, float] = {}
+        for model_rows in models.values():
+            dist = row_dists[model_rows[0]]
+            resolved = _resolve_bounds_many(dist, dist.fingerprint(), [ages[i] for i in model_rows])
+            for i, (t_max, _) in zip(model_rows, resolved, strict=True):
+                bounds[i] = t_max
         solved = _solve_rows(
-            [(d, c, a, b) for (_, _, d, c, a), b in zip(misses, bounds, strict=True)],
+            [(row_dists[i], row_costs[i], ages[i], bounds[i]) for i, _ in misses],
             lone=len(models) == 1,
         )
-        for (i, key, *_), opt in zip(misses, solved, strict=True):
+        for (i, _), opt in zip(misses, solved, strict=True):
             out[i] = opt
-            if cache is not None:
-                cache.put(key, opt)
+        if cache is not None:
+            cache.store((key, opt) for (_, key), opt in zip(misses, solved, strict=True))
+    if cache_hits is not None:
+        outcome: list[bool | None] = [None] * n
+        if cache is not None:
+            for i, hit in zip(rows, found, strict=True):
+                outcome[i] = hit is not None
+        cache_hits.extend(outcome)
     for i, j in duplicates:
         out[i] = out[j]
     return cast("list[OptimalInterval]", out)

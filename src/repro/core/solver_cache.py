@@ -37,7 +37,7 @@ like every other counter.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
@@ -124,31 +124,50 @@ class SolverCache:
         )
 
     # ------------------------------------------------------------------
-    def get(self, key: SolverCacheKey) -> "OptimalInterval | None":
-        entry = self._entries.get(key)
-        reg = _metrics()
-        if entry is None:
-            self.misses += 1
-            if reg is not None:
-                reg.inc("opt.cache.misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        if reg is not None:
-            reg.inc("opt.cache.hits")
-        return entry
-
-    def put(self, key: SolverCacheKey, value: "OptimalInterval") -> None:
+    def lookup(self, keys: Sequence[SolverCacheKey]) -> "list[OptimalInterval | None]":
+        """The entry for each key (``None`` on a miss), refreshing the hits
+        as most recent; the traffic counters move once per call."""
         entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        entries[key] = value
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.evictions += 1
+        found = [entries.get(key) for key in keys]
+        hits = 0
+        for key, entry in zip(keys, found, strict=True):
+            if entry is not None:
+                entries.move_to_end(key)
+                hits += 1
+        misses = len(found) - hits
+        self.hits += hits
+        self.misses += misses
+        reg = _metrics()
+        if reg is not None:
+            if hits:
+                reg.inc("opt.cache.hits", hits)
+            if misses:
+                reg.inc("opt.cache.misses", misses)
+        return found
+
+    def store(self, items: "Iterable[tuple[SolverCacheKey, OptimalInterval]]") -> None:
+        """Insert (or refresh) entries as most recent, evicting the least
+        recent past capacity."""
+        entries = self._entries
+        evicted = 0
+        for key, value in items:
+            if key in entries:
+                entries.move_to_end(key)
+            entries[key] = value
+            if len(entries) > self.capacity:
+                entries.popitem(last=False)
+                evicted += 1
+        if evicted:
+            self.evictions += evicted
             reg = _metrics()
             if reg is not None:
-                reg.inc("opt.cache.evictions")
+                reg.inc("opt.cache.evictions", evicted)
+
+    def get(self, key: SolverCacheKey) -> "OptimalInterval | None":
+        return self.lookup((key,))[0]
+
+    def put(self, key: SolverCacheKey, value: "OptimalInterval") -> None:
+        self.store(((key, value),))
 
     def clear(self) -> None:
         self._entries.clear()

@@ -109,6 +109,11 @@ class TraceRecorder:
         return maxlen
 
     @property
+    def sampling(self) -> dict[str, int]:
+        """The stride sampling in force (a copy)."""
+        return dict(self._sampling)
+
+    @property
     def n_dropped(self) -> int:
         """Events evicted from the ring buffer (oldest-first)."""
         return self.n_recorded - len(self._buf)
@@ -194,7 +199,7 @@ class TraceRecorder:
             "events": self.events(),
             "n_recorded": self.n_recorded,
             "n_sampled_out": self.n_sampled_out,
-            "sampling": dict(self._sampling),
+            "sampling": self.sampling,
         }
 
     def merge_dict(self, snapshot: Mapping[str, Any]) -> None:

@@ -4,26 +4,36 @@ The daemon's hot path.  Solve requests do not call the optimizer
 directly; they are appended to a pending list and answered when the
 batch *flushes*, which happens when either
 
-* the **batching window** elapses (an ``asyncio`` timer armed by the
+* the **batching window** elapses (an event-loop timer armed by the
   first query of a burst; default 2 ms), or
 * the pending list reaches **max_batch** (back-pressure bound).
 
-At flush time the batch is grouped by *solve identity* -- distribution
-fingerprint and cost triple -- and each group is
-dispatched through one
-:func:`~repro.core.optimizer.optimize_intervals_batch` call: duplicate
-ages inside a group collapse to a single solve (the dominant effect for
-a pool manager polling a fleet at bucketed uptimes), and the distinct
-ages are solved together as rows of one vectorised row solve.  A row's
-result does not depend on its neighbours, so results are **bitwise
-identical** to per-request solves; batching only changes *when* and
-*how often* the solver runs, never what it returns.
+A flush is the unit of work.  It makes **one**
+:func:`~repro.core.optimizer.optimize_intervals_batch` call over every
+pending query, whatever its model and cost set, with per-row
+distributions and costs: duplicate ages of one model and cost set
+collapse to a single solve (the dominant effect for a pool manager
+polling a fleet at bucketed uptimes), cached rows are answered from the
+solver cache, and every remaining row is solved in one vectorised row
+solve (:class:`~repro.core.markov.MarkovRows` evaluates each model
+family as one block).  A row's result does not depend on its
+neighbours, so results are **bitwise identical** to per-request solves;
+batching only changes *when* and *how often* the solver runs, never
+what it returns.  Should that call raise, the flush is solved again one
+*group* (same model fingerprint and cost triple) at a time, so only the
+failing group's waiters get the exception.
+
+Each query carries a reply callback that the flush calls directly --
+no future, no event-loop hop -- and the ``on_flush`` hook runs once
+after the flush's last reply, which is where the server writes each
+connection's replies in one write.
 
 Solving happens on the event loop, not in a worker thread: the
 process-global :class:`~repro.core.solver_cache.SolverCache` and the
-metrics registry are single-threaded by design, and a grouped solve is
+metrics registry are single-threaded by design, and a flush's solve is
 short (microseconds when cached, a few ms cold).  The batching window
-bounds how much solve work a single flush can accumulate.
+and ``max_batch`` bound how much solve work a single flush can
+accumulate.
 
 Counters: ``serve.batch.count`` / ``serve.batch.size`` /
 ``serve.batch.groups`` / ``serve.batch.collapsed`` /
@@ -33,10 +43,11 @@ flush.  The request-lifecycle histograms
 ``serve.lifecycle.batch_group_seconds`` /
 ``serve.lifecycle.solve_seconds`` per flush) and the tenant-labeled
 cache attribution (``serve.tenant.cache.hits`` / ``.misses``: the
-solver-cache delta of each group solve, credited to the group's tenant
--- a group is single-tenant unless two pools registered an identical
-model + cost set, in which case the head tenant absorbs the shared
-delta) are recorded here too, all on sim-time-free wall clocks.
+cache lookups of each group's rows, read from the solve call's per-row
+outcome and credited to the group's tenant -- a group is single-tenant
+unless two pools registered an identical model + cost set, in which
+case the head tenant absorbs the shared lookups) are recorded here too,
+all on sim-time-free wall clocks.
 """
 
 from __future__ import annotations
@@ -45,16 +56,15 @@ import asyncio
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, cast
 
 from repro.core.markov import CheckpointCosts
 from repro.core.optimizer import OptimalInterval, optimize_intervals_batch
-from repro.core.solver_cache import active_cache
 from repro.distributions.base import AvailabilityDistribution
 from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 
-__all__ = ["BatcherStats", "MicroBatcher", "SolveQuery"]
+__all__ = ["BatcherStats", "MicroBatcher", "Reply", "SolveQuery"]
 
 
 @dataclass(frozen=True)
@@ -108,16 +118,21 @@ class BatcherStats:
         }
 
 
+#: a query's answer callback, called by the flush that answers it with
+#: ``(result, None)`` or, when the query's group failed, ``(None, exc)``
+Reply = Callable[[OptimalInterval | None, Exception | None], None]
+
+
 @dataclass
 class _Pending:
     query: SolveQuery
-    future: "asyncio.Future[OptimalInterval]" = field(repr=False)
-    #: ``time.perf_counter()`` at submit, for the queue-wait histogram
+    reply: Reply = field(repr=False)
+    #: ``time.perf_counter()`` at enqueue, for the queue-wait histogram
     enqueued: float = 0.0
 
 
 class MicroBatcher:
-    """Collect concurrent solve queries; flush them in grouped batches.
+    """Collect concurrent solve queries; answer them one flush at a time.
 
     Parameters
     ----------
@@ -132,6 +147,8 @@ class MicroBatcher:
     clock:
         Returns the trace timestamp for batch spans (seconds since the
         server started, by default since batcher creation).
+    on_flush:
+        Called once at the end of every flush, after its last reply.
     """
 
     def __init__(
@@ -140,6 +157,7 @@ class MicroBatcher:
         window_s: float = 0.002,
         max_batch: int = 256,
         clock: Callable[[], float] | None = None,
+        on_flush: Callable[[], None] | None = None,
     ) -> None:
         if window_s < 0:
             raise ValueError(f"batch window must be >= 0, got {window_s}")
@@ -149,22 +167,39 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.stats = BatcherStats()
         self._pending: list[_Pending] = []
-        self._timer: asyncio.Task[None] | None = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._on_flush = on_flush
         epoch = time.perf_counter()
         self._clock = clock if clock is not None else (lambda: time.perf_counter() - epoch)
 
     # ------------------------------------------------------------------
-    async def submit(self, query: SolveQuery) -> OptimalInterval:
-        """Enqueue a query and wait for its batched result."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[OptimalInterval] = loop.create_future()
-        self._pending.append(_Pending(query, future, time.perf_counter()))
+    def enqueue(self, query: SolveQuery, reply: Reply) -> None:
+        """Queue a query; the flush that answers it calls ``reply``.
+
+        Must run on the event loop (it arms the window timer); a query
+        that fills the batch flushes before this returns.
+        """
+        self._pending.append(_Pending(query, reply, time.perf_counter()))
         self.stats.queries += 1
         if len(self._pending) >= self.max_batch:
             self._cancel_timer()
             self._flush()
         elif self._timer is None:
-            self._timer = loop.create_task(self._window())
+            self._timer = asyncio.get_running_loop().call_later(self.window_s, self._window)
+
+    async def submit(self, query: SolveQuery) -> OptimalInterval:
+        """Enqueue a query and wait for its batched result."""
+        future: asyncio.Future[OptimalInterval] = asyncio.get_running_loop().create_future()
+
+        def reply(result: OptimalInterval | None, exc: Exception | None) -> None:
+            if future.done():
+                return
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(cast(OptimalInterval, result))
+
+        self.enqueue(query, reply)
         return await future
 
     def drain(self) -> None:
@@ -177,11 +212,7 @@ class MicroBatcher:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    async def _window(self) -> None:
-        try:
-            await asyncio.sleep(self.window_s)
-        except asyncio.CancelledError:
-            raise
+    def _window(self) -> None:
         self._timer = None
         self._flush()
 
@@ -204,51 +235,47 @@ class MicroBatcher:
                     "serve.lifecycle.queue_wait_seconds", wall0 - item.enqueued
                 )
 
-        groups: dict[tuple[Any, ...], list[_Pending]] = {}
-        for item in pending:
-            groups.setdefault(item.query.group_key(), []).append(item)
+        queries = [item.query for item in pending]
+        groups: dict[tuple[Any, ...], list[int]] = {}
+        for k, query in enumerate(queries):
+            groups.setdefault(query.group_key(), []).append(k)
         if reg is not None:
             reg.observe(
                 "serve.lifecycle.batch_group_seconds", time.perf_counter() - wall0
             )
-        cache = active_cache()
+
+        hits: list[bool | None] = []
+        solve0 = time.perf_counter()
+        results: list[OptimalInterval | Exception]
+        try:
+            results = list(
+                optimize_intervals_batch(
+                    [q.distribution for q in queries],
+                    [q.costs for q in queries],
+                    [q.age for q in queries],
+                    cache_hits=hits,
+                )
+            )
+        except Exception:  # reprolint: ignore[RL006] - the flush is re-solved group by group so only the failing group's waiters see the error
+            results, hits = self._solve_by_group(queries, groups)
+        if reg is not None:
+            reg.observe("serve.lifecycle.solve_seconds", time.perf_counter() - solve0)
 
         batch_solves = 0
         batch_collapsed = 0
-        for items in groups.values():
-            head = items[0].query
-            ages = [item.query.age for item in items]
-            distinct = len(set(ages))
-            hits0 = cache.hits if cache is not None else 0
-            misses0 = cache.misses if cache is not None else 0
-            solve0 = time.perf_counter()
-            try:
-                results = optimize_intervals_batch(head.distribution, head.costs, ages)
-            except Exception as exc:  # reprolint: ignore[RL006] - re-delivered to every waiter via set_exception; the daemon must outlive one bad group
-                self.stats.errors += 1
-                if reg is not None:
-                    reg.inc("serve.batch.errors")
-                for item in items:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                continue
-            if reg is not None:
-                reg.observe(
-                    "serve.lifecycle.solve_seconds", time.perf_counter() - solve0
-                )
-                if cache is not None:
-                    tenant = {"tenant": head.tenant}
-                    hit_delta = cache.hits - hits0
-                    miss_delta = cache.misses - misses0
-                    if hit_delta:
-                        reg.inc("serve.tenant.cache.hits", hit_delta, labels=tenant)
-                    if miss_delta:
-                        reg.inc("serve.tenant.cache.misses", miss_delta, labels=tenant)
+        for ks in groups.values():
+            distinct = len({queries[k].age for k in ks})
             batch_solves += distinct
-            batch_collapsed += len(items) - distinct
-            for item, result in zip(items, results, strict=True):
-                if not item.future.done():
-                    item.future.set_result(result)
+            batch_collapsed += len(ks) - distinct
+            if reg is not None:
+                outcome = [hits[k] for k in ks]
+                tenant = {"tenant": queries[ks[0]].tenant}
+                hit_count = outcome.count(True)
+                miss_count = outcome.count(False)
+                if hit_count:
+                    reg.inc("serve.tenant.cache.hits", hit_count, labels=tenant)
+                if miss_count:
+                    reg.inc("serve.tenant.cache.misses", miss_count, labels=tenant)
 
         self.stats.batches += 1
         self.stats.groups += len(groups)
@@ -274,3 +301,43 @@ class MicroBatcher:
                     "collapsed": batch_collapsed,
                 },
             )
+        for item, result in zip(pending, results, strict=True):
+            if isinstance(result, Exception):
+                item.reply(None, result)
+            else:
+                item.reply(result, None)
+        if self._on_flush is not None:
+            self._on_flush()
+
+    def _solve_by_group(
+        self, queries: list[SolveQuery], groups: dict[tuple[Any, ...], list[int]]
+    ) -> tuple[list[OptimalInterval | Exception], list[bool | None]]:
+        """The error path: one solve call per group, so a group that
+        raises fails only its own queries (each gets the exception).
+        Rows the failed flush-wide call had already looked up count
+        again in the solver cache's traffic counters; the per-tenant
+        counts come from these calls only."""
+        reg = _metrics()
+        results: list[OptimalInterval | Exception | None] = [None] * len(queries)
+        hits: list[bool | None] = [None] * len(queries)
+        for ks in groups.values():
+            head = queries[ks[0]]
+            group_hits: list[bool | None] = []
+            try:
+                solved = optimize_intervals_batch(
+                    head.distribution,
+                    head.costs,
+                    [queries[k].age for k in ks],
+                    cache_hits=group_hits,
+                )
+            except Exception as exc:  # reprolint: ignore[RL006] - re-delivered to every waiter of the group; the daemon must outlive one bad group
+                self.stats.errors += 1
+                if reg is not None:
+                    reg.inc("serve.batch.errors")
+                for k in ks:
+                    results[k] = exc
+                continue
+            for k, result, hit in zip(ks, solved, group_hits, strict=True):
+                results[k] = result
+                hits[k] = hit
+        return cast("list[OptimalInterval | Exception]", results), hits

@@ -9,15 +9,20 @@ process-global solver cache persisted to disk so restarts begin hot.
 Layering::
 
     transport (TCP connections / stdio loop)
-        -> ScheduleServer.handle_request   (op dispatch, admin ops)
-            -> MicroBatcher.submit         (solve path: batching window)
-                -> optimize_intervals_batch (grouped, deduplicated)
+        -> ScheduleServer                  (parse, op dispatch, admin ops)
+            -> MicroBatcher.enqueue        (solve path: batching window)
+                -> optimize_intervals_batch (one call per flush)
                     -> SolverCache          (process-global, snapshotted)
 
-Connections are *pipelined*: each request line spawns its own task and
-responses are written as they complete (out of order; clients match on
-``id``).  That is what gives the micro-batcher concurrent in-flight
-queries to batch even over a single connection.
+Connections are *pipelined*: a connection keeps reading while earlier
+requests wait in the batcher, which is what gives the micro-batcher
+concurrent in-flight queries to batch even over a single connection.
+Responses are written as they complete (out of order; clients match on
+``id``).  A flush answers its queries through callbacks and the
+replies it queued on one connection leave in one write when it ends.
+Control-plane ops (``ping``, ``register``, ``shutdown``, ...) are
+answered in read order, each reply written as soon as it is made;
+``snapshot``, which waits on the disk, runs as its own task.
 
 Metrics (``serve.*``, catalogued in ``docs/OBSERVABILITY.md``) and one
 ``serve``/``request`` trace span per request report what the daemon is
@@ -39,8 +44,9 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, TextIO
+from typing import Any, NamedTuple, TextIO
 
+from repro.core.optimizer import OptimalInterval
 from repro.core.solver_cache import active_cache
 from repro.obs.metrics import active as _metrics
 from repro.obs.metrics import disable as _metrics_disable
@@ -82,15 +88,16 @@ __all__ = ["ScheduleServer", "ServerConfig"]
 #: leaves configuration to the operator, so they are silent by default)
 _logger = logging.getLogger("repro.serve")
 
-#: response writes skip ``drain()`` until the transport buffer exceeds
-#: this many bytes (a slow or stalled client); below it, a response is a
-#: single synchronous buffer append
+#: a write is a single synchronous buffer append; once one leaves the
+#: transport buffer above this many bytes (a slow or stalled client), the
+#: connection waits in ``drain()`` before it reads another request
 _DRAIN_WATERMARK = 1 << 16
 
 #: a connection reads ahead at most this many batches (``max_batch``
-#: requests each) before it waits for answers: a pipelined client that
-#: outpaces the solver queues in the socket buffers, not as live tasks,
-#: so the daemon's memory does not grow with how far behind it falls
+#: requests each) before it waits for answers, so a pipelined client that
+#: outpaces the daemon queues in the socket buffers, not in its memory.
+#: Solves alone never reach it (a full batch flushes at once); it bounds
+#: the ``snapshot`` tasks a connection can pile up
 _READ_AHEAD_BATCHES = 4
 
 
@@ -119,6 +126,77 @@ def _request_envelope_of(line: str) -> tuple[Any, str | None]:
         return None, None
     op = data.get("op")
     return data.get("id"), op if isinstance(op, str) else None
+
+
+#: what a request may raise that becomes an error response rather than
+#: a failure of the daemon
+_ANSWERABLE = (ProtocolError, UnknownPoolError, ValueError, OverflowError, ArithmeticError)
+
+
+def _failure(request_id: Any, exc: Exception) -> dict[str, Any]:
+    """The error response for an exception raised answering a request."""
+    if isinstance(exc, ProtocolError):
+        return error_response(request_id, exc.code, exc.message)
+    if isinstance(exc, UnknownPoolError):
+        return error_response(request_id, "unknown-pool", str(exc))
+    # solver/domain failures: the query was structurally fine but
+    # unanswerable (e.g. age beyond the distribution's support)
+    return error_response(request_id, "solver-error", str(exc))
+
+
+class _Begun(NamedTuple):
+    """An accepted request's identity and start time (see ``_begin``)."""
+
+    request_id: Any
+    op: str
+    op_key: str
+    tenant: str
+    started: float
+
+
+class _Connection:
+    """The reply side of one TCP connection.
+
+    Replies a flush answers are queued here and written in one
+    ``write`` when the flush ends; every other reply is written as it
+    is made.  Each reply is one complete line, so writes never split
+    one.  ``outstanding`` counts queued solves not yet answered.
+    """
+
+    __slots__ = ("writer", "replies", "outstanding", "room", "backlogged", "_unwritten")
+
+    def __init__(self, writer: asyncio.StreamWriter, unwritten: list[_Connection]) -> None:
+        self.writer = writer
+        self.replies: list[str] = []
+        self.outstanding = 0
+        #: set whenever an answer frees read-ahead room
+        self.room = asyncio.Event()
+        #: a write left the transport buffer above the drain watermark
+        self.backlogged = False
+        self._unwritten = unwritten
+
+    def send(self, response: dict[str, Any]) -> None:
+        """Write one reply now."""
+        self.writer.write((_encode(response) + "\n").encode())
+        self._check_watermark()
+
+    def queue(self, response: dict[str, Any]) -> None:
+        """Queue a flush's reply for the flush's one write."""
+        if not self.replies:
+            self._unwritten.append(self)
+        self.replies.append(_encode(response) + "\n")
+        self.outstanding -= 1
+        self.room.set()
+
+    def write_queued(self) -> None:
+        self.writer.write("".join(self.replies).encode())
+        self.replies.clear()
+        self._check_watermark()
+
+    def _check_watermark(self) -> None:
+        transport = self.writer.transport
+        if transport is not None and transport.get_write_buffer_size() > _DRAIN_WATERMARK:
+            self.backlogged = True
 
 
 @dataclass(frozen=True)
@@ -200,10 +278,13 @@ class ScheduleServer:
         self.config = config if config is not None else ServerConfig()
         self.registry = registry if registry is not None else TenantRegistry()
         self._epoch = time.perf_counter()
+        #: connections a flush in progress has queued replies on
+        self._unwritten: list[_Connection] = []
         self.batcher = MicroBatcher(
             window_s=self.config.batch_window_s,
             max_batch=self.config.max_batch,
             clock=self._now,
+            on_flush=self._write_replies,
         )
         self.port: int | None = None if self.config.port == 0 else self.config.port
         self.metrics_port: int | None = None
@@ -335,11 +416,18 @@ class ScheduleServer:
     # ------------------------------------------------------------------
     async def handle_request(self, request: dict[str, Any]) -> dict[str, Any]:
         """Answer one parsed request object."""
-        request_id = request.get("id")
-        reg = _metrics()
-        trace = _trace_active()
+        begun = self._begin(request)
+        try:
+            response = await self._dispatch(begun.op, request, begun.request_id)
+        except _ANSWERABLE as exc:
+            response = _failure(begun.request_id, exc)
+        return self._finish(begun, response)
+
+    def _begin(self, request: dict[str, Any]) -> _Begun:
+        """Count an arriving request and start its clock."""
         started = self._now()
         self.requests += 1
+        reg = _metrics()
         if reg is not None:
             reg.inc("serve.requests")
         op = str(request.get("op"))
@@ -347,22 +435,19 @@ class ScheduleServer:
         self.op_counts[op_key] = self.op_counts.get(op_key, 0) + 1
         pool = request.get("pool")
         tenant = pool if isinstance(pool, str) and pool else "-"
-        try:
-            response = await self._dispatch(op, request, request_id)
-        except ProtocolError as exc:
-            response = error_response(request_id, exc.code, exc.message)
-        except UnknownPoolError as exc:
-            response = error_response(request_id, "unknown-pool", str(exc))
-        except (ValueError, OverflowError, ArithmeticError) as exc:
-            # solver/domain failures: the query was structurally fine but
-            # unanswerable (e.g. age beyond the distribution's support)
-            response = error_response(request_id, "solver-error", str(exc))
+        return _Begun(request.get("id"), op, op_key, tenant, started)
+
+    def _finish(self, begun: _Begun, response: dict[str, Any]) -> dict[str, Any]:
+        """Account for an answered request; returns ``response``."""
+        reg = _metrics()
+        trace = _trace_active()
         ok = bool(response.get("ok", False))
         if not ok:
             self.errors += 1
             if reg is not None:
                 reg.inc("serve.errors")
-        elapsed = self._now() - started
+        elapsed = self._now() - begun.started
+        op, op_key, tenant = begun.op, begun.op_key, begun.tenant
         if reg is not None:
             reg.observe("serve.request_seconds", elapsed)
             reg.inc(f"serve.op.{op}" if op in _OP_COUNTERS else "serve.op.invalid")
@@ -392,7 +477,7 @@ class ScheduleServer:
             trace.span(
                 "serve",
                 "request",
-                started,
+                begun.started,
                 elapsed,
                 args={"op": op, "ok": ok},
             )
@@ -400,6 +485,14 @@ class ScheduleServer:
 
     async def handle_line(self, line: str) -> dict[str, Any]:
         """Parse one request line and answer it (stdio / test helper)."""
+        request, failure = self._parse_line(line)
+        if request is None:
+            return failure
+        return await self.handle_request(request)
+
+    def _parse_line(self, line: str) -> tuple[dict[str, Any] | None, dict[str, Any]]:
+        """``(request, {})`` for a line that parses, else ``(None, error
+        response)`` with the failed request already counted."""
         reg = _metrics()
         parse0 = time.perf_counter()
         try:
@@ -414,10 +507,10 @@ class ScheduleServer:
                 )
                 reg.inc("serve.requests")
                 reg.inc("serve.errors")
-            return error_response(None, exc.code, exc.message)
+            return None, error_response(None, exc.code, exc.message)
         if reg is not None:
             reg.observe("serve.lifecycle.parse_seconds", time.perf_counter() - parse0)
-        return await self.handle_request(request)
+        return request, {}
 
     async def _dispatch(
         self, op: str, request: dict[str, Any], request_id: Any
@@ -426,6 +519,14 @@ class ScheduleServer:
             return ok_response(request_id, pong=True, schema=PROTOCOL_SCHEMA)
         if op == "solve":
             return await self._op_solve(request, request_id)
+        if op in ("register", "unregister") and self.config.worker_index is not None:
+            # a pool worker holds one of several registries: the op would
+            # reach only the worker the kernel routed this connection to
+            raise ProtocolError(
+                "unsupported-op",
+                f"{op!r} is not supported by a multi-worker pool; "
+                "preload shared pools with --pools or --demo",
+            )
         if op == "register":
             return self._op_register(request, request_id)
         if op == "unregister":
@@ -482,6 +583,11 @@ class ScheduleServer:
         return pool
 
     async def _op_solve(self, request: dict[str, Any], request_id: Any) -> dict[str, Any]:
+        result = await self.batcher.submit(self._solve_query(request))
+        return ok_response(request_id, result=interval_to_payload(result))
+
+    def _solve_query(self, request: dict[str, Any]) -> SolveQuery:
+        """Validate a ``solve`` request into the query the batcher runs."""
         age = request.get("age")
         if isinstance(age, bool) or not isinstance(age, int | float):
             raise ProtocolError("bad-request", f"'age' must be numeric, got {age!r}")
@@ -512,14 +618,12 @@ class ScheduleServer:
             raise ProtocolError(
                 "bad-request", "a solve needs a 'pool' name or an inline 'model'"
             )
-        query = SolveQuery(
+        return SolveQuery(
             distribution=distribution,
             costs=costs,
             age=float(age),
             tenant=tenant,
         )
-        result = await self.batcher.submit(query)
-        return ok_response(request_id, result=interval_to_payload(result))
 
     def _op_register(self, request: dict[str, Any], request_id: Any) -> dict[str, Any]:
         pool = self._pool_name(request)
@@ -617,25 +721,19 @@ class ScheduleServer:
         reg = _metrics()
         if reg is not None:
             reg.inc("serve.connections.opened")
-        drain_lock = asyncio.Lock()
+        conn = _Connection(writer, self._unwritten)
         tasks: set[asyncio.Task[None]] = set()
 
-        async def respond(line: str) -> None:
-            response = await self.handle_line(line)
-            payload = (_encode(response) + "\n").encode()
+        async def respond(request: dict[str, Any]) -> None:
+            # control-plane ops: each reply (``shutdown``'s included) is
+            # written as soon as it is made
+            self._inflight += 1
+            try:
+                response = await self.handle_request(request)
+            finally:
+                self._inflight -= 1
             respond0 = time.perf_counter()
-            # each response is one complete line in one write() call, so
-            # concurrent responders cannot interleave framing; drain only
-            # once the transport buffer backs up (a slow client), which
-            # keeps the hot path to a single buffer append
-            writer.write(payload)
-            transport = writer.transport
-            if (
-                transport is not None
-                and transport.get_write_buffer_size() > _DRAIN_WATERMARK
-            ):
-                async with drain_lock:
-                    await writer.drain()
+            conn.send(response)
             if reg is not None:
                 reg.observe(
                     "serve.lifecycle.respond_seconds",
@@ -643,19 +741,23 @@ class ScheduleServer:
                 )
 
         read_ahead = _READ_AHEAD_BATCHES * self.config.max_batch
-        room = asyncio.Event()
 
         def finish(task: asyncio.Task[None]) -> None:
             tasks.discard(task)
-            self._inflight -= 1
-            room.set()
+            conn.room.set()
 
         cap = self.config.max_inflight
         try:
             while True:
-                while len(tasks) >= read_ahead:
-                    room.clear()
-                    await room.wait()
+                while len(tasks) + conn.outstanding >= read_ahead:
+                    conn.room.clear()
+                    await conn.room.wait()
+                if conn.backlogged:
+                    # a write left the transport buffer above the
+                    # watermark (a slow client): wait for it to drain
+                    # before reading more (the only drain, so no lock)
+                    conn.backlogged = False
+                    await writer.drain()
                 try:
                     raw = await reader.readline()
                 except ValueError:
@@ -683,19 +785,33 @@ class ScheduleServer:
                         self.rejected += 1
                         if reg is not None:
                             reg.inc("serve.requests.rejected")
-                        busy = error_response(
-                            rid,
-                            "busy",
-                            f"server at max in-flight requests ({cap})",
+                        conn.send(
+                            error_response(
+                                rid,
+                                "busy",
+                                f"server at max in-flight requests ({cap})",
+                            )
                         )
-                        writer.write((_encode(busy) + "\n").encode())
                         continue
-                self._inflight += 1
-                task = asyncio.ensure_future(respond(line))
-                tasks.add(task)
-                task.add_done_callback(finish)
+                request, failure = self._parse_line(line)
+                if request is None:
+                    conn.send(failure)
+                elif request["op"] == "solve":
+                    self._accept_solve(request, conn)
+                elif request["op"] == "snapshot":
+                    # the one op that waits on I/O runs beside the reads
+                    task = asyncio.ensure_future(respond(request))
+                    tasks.add(task)
+                    task.add_done_callback(finish)
+                else:
+                    # in read order: a ``register`` takes effect before the
+                    # solves read after it are validated
+                    await respond(request)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            while conn.outstanding:
+                conn.room.clear()
+                await conn.room.wait()
         finally:
             if current is not None:
                 self._connections.pop(current, None)
@@ -706,6 +822,46 @@ class ScheduleServer:
                 await writer.wait_closed()
             except OSError:
                 pass  # the client is already gone; nothing left to flush
+
+    def _accept_solve(self, request: dict[str, Any], conn: _Connection) -> None:
+        """Queue one ``solve`` read from a connection; the flush that
+        answers it queues the reply on ``conn`` (written by
+        :meth:`_write_replies`).  A request that fails validation is
+        answered at once."""
+        begun = self._begin(request)
+        request_id = begun.request_id
+        try:
+            query = self._solve_query(request)
+        except _ANSWERABLE as exc:
+            conn.send(self._finish(begun, _failure(request_id, exc)))
+            return
+        self._inflight += 1
+        conn.outstanding += 1
+
+        def reply(result: OptimalInterval | None, exc: Exception | None) -> None:
+            self._inflight -= 1
+            if exc is not None:
+                response = _failure(request_id, exc)
+            else:
+                assert result is not None
+                response = ok_response(request_id, result=interval_to_payload(result))
+            conn.queue(self._finish(begun, response))
+
+        self.batcher.enqueue(query, reply)
+
+    def _write_replies(self) -> None:
+        """The batcher's end-of-flush hook: one write per connection the
+        flush answered."""
+        reg = _metrics()
+        for conn in self._unwritten:
+            respond0 = time.perf_counter()
+            conn.write_queued()
+            if reg is not None:
+                reg.observe(
+                    "serve.lifecycle.respond_seconds",
+                    time.perf_counter() - respond0,
+                )
+        self._unwritten.clear()
 
     async def start(self) -> None:
         """Bind the TCP listener, warm-load the snapshot, start the

@@ -38,9 +38,10 @@ Architecture::
         `-- per-worker snapshot file (<base>.worker<i>), warm-loaded
             from the merged <base>
 
-Dynamic ``register``/``unregister`` ops apply only to the worker the
-kernel routed them to; shared pools belong in ``--pools``/``--demo`` at
-boot (documented in docs/SERVING.md).
+Workers refuse ``register``/``unregister`` (an ``unsupported-op``
+error): the op would reach only the worker the kernel routed it to.
+Shared pools belong in ``--pools``/``--demo`` at boot (documented in
+docs/SERVING.md).
 """
 
 from __future__ import annotations

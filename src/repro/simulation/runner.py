@@ -197,19 +197,25 @@ class PoolSweep:
 
 
 def _simulate_machine_task(
-    args: tuple[AvailabilityTrace, SweepSettings, bool, bool],
+    args: tuple[AvailabilityTrace, SweepSettings, bool, dict[str, Any] | None],
 ) -> tuple[list[SimulationResult], dict[str, Any] | None, dict[str, Any] | None]:
     """Worker entry point: one machine's sweep, plus (when the parent is
     collecting metrics and/or a trace) snapshots of what it recorded.
 
     Worker processes do not share the parent's registry or recorder, so
     the task records into private sinks and ships their ``as_dict()``
-    back with the results.
+    back with the results.  ``recorder`` carries the parent recorder's
+    ``max_events`` and ``sampling``, so the task's recorder samples and
+    bounds like the parent's.
     """
-    trace, settings, collect_metrics, collect_trace = args
+    trace, settings, collect_metrics, recorder = args
     with ExitStack() as stack:
         reg = stack.enter_context(_use_metrics()) if collect_metrics else None
-        rec = stack.enter_context(_use_trace()) if collect_trace else None
+        rec = (
+            stack.enter_context(_use_trace(TraceRecorder(**recorder)))
+            if recorder is not None
+            else None
+        )
         results = simulate_machine(trace, settings)
     return (
         results,
@@ -247,7 +253,12 @@ def simulate_pool(
         n_procs = min(n_workers, len(traces))
         if parent_reg is not None:
             parent_reg.set_gauge("sim.pool.workers", n_procs)
-        collect = (parent_reg is not None, parent_trace is not None)
+        collect = (
+            parent_reg is not None,
+            None
+            if parent_trace is None
+            else {"max_events": parent_trace.max_events, "sampling": parent_trace.sampling},
+        )
         with ProcessPoolExecutor(max_workers=n_procs) as pool_exec:
             # one task per machine; ``map`` yields in machine order, so
             # results and snapshot merges do not depend on scheduling

@@ -12,6 +12,7 @@ from repro.core import (
     optimize_interval,
     use_solver_cache,
 )
+from repro.core.optimizer import optimize_intervals_batch
 from repro.core.solver_cache import DEFAULT_CAPACITY, SNAPSHOT_SCHEMA, SNAPSHOT_VERSION
 from repro.distributions import Exponential, Weibull
 from repro.distributions.empirical import EmpiricalDistribution
@@ -262,6 +263,30 @@ class TestOptimizerIntegration:
         counters = reg.as_dict()["counters"]
         assert counters["opt.cache.misses"] == 1.0
         assert counters["opt.cache.hits"] == 1.0
+
+    def test_batch_reports_each_rows_lookup(self):
+        # rows 2 and 3 repeat rows 0 and 1 (an equal model object; an
+        # age in the same 1e-9 s bucket): no lookup of their own
+        ages = [0.0, 50.0, 0.0, 50.0 + 1e-12, 900.0]
+        dists = [self.DIST, self.DIST, Weibull(0.43, 3409.0), self.DIST, self.DIST]
+        with use_solver_cache(SolverCache()) as cache, use_metrics() as reg:
+            optimize_interval(self.DIST, self.COSTS, age=900.0)
+            outcome = []
+            results = optimize_intervals_batch(dists, self.COSTS, ages, cache_hits=outcome)
+        assert outcome == [False, False, None, None, True]
+        assert results[2] is results[0] and results[3] is results[1]
+        assert (cache.hits, cache.misses) == (1, 3)
+        counters = reg.as_dict()["counters"]
+        assert (counters["opt.cache.hits"], counters["opt.cache.misses"]) == (1.0, 3.0)
+        c = self.COSTS
+        assert set(cache.keys()) == {
+            SolverCache.key(self.DIST.fingerprint(), c.checkpoint, c.recovery, c.latency, a)
+            for a in (0.0, 50.0, 900.0)
+        }
+        with use_solver_cache(None):
+            outcome = []
+            optimize_intervals_batch(self.DIST, self.COSTS, [1.0, 1.0], cache_hits=outcome)
+        assert outcome == [None, None]
 
     def test_global_cache_enabled_by_default(self):
         assert active_cache() is not None

@@ -5,8 +5,10 @@ import asyncio
 import pytest
 
 from repro.core import CheckpointCosts, SolverCache, optimize_interval, use_solver_cache
-from repro.distributions import Exponential, Weibull
+from repro.core.optimizer import optimize_intervals_batch
+from repro.distributions import Exponential, Hyperexponential, Weibull
 from repro.obs.metrics import use as use_metrics
+from repro.serve import batcher as batcher_module
 from repro.serve.batcher import MicroBatcher, SolveQuery
 
 WEIBULL = Weibull(0.43, 3409.0)
@@ -179,3 +181,103 @@ class TestMetrics:
         assert data["counters"]["serve.batch.count"] == 1.0
         assert data["counters"]["serve.batch.collapsed"] == 1.0
         assert data["histograms"]["serve.batch.size"]["count"] == 1
+
+
+#: one model of each paper family, two cost sets, repeated ages
+FAMILIES = {
+    "exp": EXP,
+    "weibull": WEIBULL,
+    "hyper2": Hyperexponential([0.5, 0.5], [1.0 / 100.0, 1.0 / 9000.0]),
+    "hyper3": Hyperexponential([0.3, 0.5, 0.2], [1.0 / 50.0, 1.0 / 2000.0, 1.0 / 20000.0]),
+}
+COST_SETS = (COSTS, CheckpointCosts(50.0, 60.0, 10.0))
+
+
+def _mixed_queries():
+    queries = [
+        SolveQuery(dist, costs, age, tenant=name)
+        for name, dist in FAMILIES.items()
+        for costs in COST_SETS
+        for age in (0.0, 350.0, 350.0, 4000.0)
+    ]
+    # a second tenant on the exp model and costs: same group, whose head
+    # tenant takes the group's cache traffic
+    queries.append(SolveQuery(EXP, COSTS, 777.0, tenant="exp-shadow"))
+    return queries
+
+
+def _flush(queries, monkeypatch):
+    """Answer ``queries`` in one flush; returns (results, stats, the
+    row count of each optimize_intervals_batch call)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[2]))
+        return optimize_intervals_batch(*args, **kwargs)
+
+    monkeypatch.setattr(batcher_module, "optimize_intervals_batch", counting)
+
+    async def run():
+        batcher = MicroBatcher(window_s=60.0, max_batch=len(queries))
+        results = await asyncio.gather(*(batcher.submit(q) for q in queries))
+        return results, batcher.stats
+
+    results, stats = asyncio.run(run())
+    return results, stats, calls
+
+
+class TestOneSolvePerFlush:
+    def test_mixed_flush_makes_one_solve_call(self, monkeypatch):
+        queries = _mixed_queries()
+        with use_solver_cache(SolverCache()):
+            _, stats, calls = _flush(queries, monkeypatch)
+        assert calls == [len(queries)]
+        assert stats.batches == 1
+        assert stats.groups == len(FAMILIES) * len(COST_SETS)
+        # per group: ages 0, 350, 350, 4000 (+ 777 on the shared exp group)
+        assert stats.solves == 3 * stats.groups + 1
+        assert stats.collapsed == stats.groups
+
+    def test_mixed_flush_bitwise_equal_lone_solves(self, monkeypatch):
+        queries = _mixed_queries()
+        with use_solver_cache(None):
+            served, _, _ = _flush(queries, monkeypatch)
+            direct = [optimize_interval(q.distribution, q.costs, age=q.age) for q in queries]
+        for result, reference in zip(served, direct, strict=True):
+            assert result == reference  # every field, bitwise
+
+    def test_tenant_cache_counts_follow_group_rule(self, monkeypatch):
+        queries = _mixed_queries()
+        warm = [q for q in queries if q.age == 0.0]
+
+        def prewarmed():
+            cache = SolverCache()
+            with use_solver_cache(cache):
+                for q in warm:
+                    optimize_interval(q.distribution, q.costs, age=q.age)
+            return cache
+
+        # the per-group rule: each group's solve-call cache delta goes to
+        # the tenant of the group's first query
+        expected: dict[str, list[int]] = {}
+        with use_solver_cache(prewarmed()) as cache:
+            groups: dict[tuple, list[SolveQuery]] = {}
+            for q in queries:
+                groups.setdefault(q.group_key(), []).append(q)
+            for members in groups.values():
+                hits0, misses0 = cache.hits, cache.misses
+                optimize_intervals_batch(
+                    members[0].distribution, members[0].costs, [q.age for q in members]
+                )
+                counts = expected.setdefault(members[0].tenant, [0, 0])
+                counts[0] += cache.hits - hits0
+                counts[1] += cache.misses - misses0
+
+        with use_solver_cache(prewarmed()), use_metrics() as reg:
+            _flush(queries, monkeypatch)
+        counters = reg.as_dict()["counters"]
+        for tenant, (hits, misses) in expected.items():
+            assert counters.get(f"serve.tenant.cache.hits{{tenant={tenant}}}", 0.0) == hits
+            assert counters.get(f"serve.tenant.cache.misses{{tenant={tenant}}}", 0.0) == misses
+        assert not any("exp-shadow" in name for name in counters)
+        assert sum(h for h, _ in expected.values()) == len(warm)

@@ -15,6 +15,7 @@ from repro.serve.bench import demo_registry
 from repro.serve.models import distribution_to_spec
 from repro.serve.protocol import PROTOCOL_SCHEMA
 from repro.serve.registry import TenantRegistry
+from repro.serve import server as server_module
 from repro.serve.server import ScheduleServer, ServerConfig
 from repro.serve.snapshot import SnapshotError
 
@@ -224,6 +225,23 @@ class TestDispatch:
         }
         assert _ask(server, request)["replaced"] is False
         assert _ask(server, request)["replaced"] is True
+
+    @pytest.mark.parametrize("op", ["register", "unregister"])
+    def test_pool_worker_rejects_registry_writes(self, op):
+        # a pool worker holds one of several registries: a write would
+        # reach only the worker that read it
+        server = _server(worker_index=0)
+        before = sorted(entry.name for entry in server.registry.entries())
+        response = _ask(
+            server,
+            {"op": op, "id": 5, "pool": "campus-exp", "model": WEIBULL_SPEC, "costs": COSTS_PAYLOAD},
+        )
+        assert response["ok"] is False
+        assert response["id"] == 5
+        assert response["error"]["code"] == "unsupported-op"
+        assert "--pools" in response["error"]["message"]
+        assert sorted(entry.name for entry in server.registry.entries()) == before
+        assert server.registry.get("campus-exp").distribution.fingerprint()[0] == "Exponential"
 
     def test_stats_op(self):
         with use_solver_cache(SolverCache()):
@@ -697,6 +715,105 @@ class TestTCP:
         counters = reg.as_dict()["counters"]
         assert counters["serve.connections.opened"] == 1.0
         assert counters["serve.connections.closed"] == 1.0
+
+
+class _CountingWriter:
+    """A stand-in ``StreamWriter`` that records every write and drain;
+    ``buffered`` is the transport buffer size it reports."""
+
+    def __init__(self, buffered=0):
+        self.writes: list[bytes] = []
+        self.drains = 0
+        self.buffered = buffered
+        self.transport = self
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def get_write_buffer_size(self):
+        return self.buffered
+
+    async def drain(self):
+        self.drains += 1
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _pipelined(server, requests, writer=None):
+    """Feed ``requests`` down one connection; returns the writes made."""
+    writer = writer if writer is not None else _CountingWriter()
+
+    async def session():
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"".join((json.dumps(r) + "\n").encode() for r in requests))
+        reader.feed_eof()
+        await server.handle_connection(reader, writer)
+        return writer.writes
+
+    return asyncio.run(session())
+
+
+class TestCoalescedWrites:
+    def test_pipelined_solves_one_write_per_flush(self):
+        count = 30
+        server = _server(max_batch=8)
+        requests = [
+            {"op": "solve", "id": i, "pool": "campus-exp", "age": float(i % 5)}
+            for i in range(count)
+        ]
+        with use_solver_cache(SolverCache()):
+            writes = _pipelined(server, requests)
+        stats = server.batcher.stats
+        assert stats.batches == 4  # three full batches, then the window
+        assert len(writes) <= stats.batches
+        data = b"".join(writes)
+        assert all(w.endswith(b"\n") for w in writes)  # no write splits a line
+        lines = data.decode().splitlines()
+        assert len(lines) == count
+        responses = [json.loads(line) for line in lines]
+        assert sorted(r["id"] for r in responses) == list(range(count))
+        assert all(r["ok"] for r in responses)
+
+    def test_backed_up_transport_drains_before_reading_on(self):
+        # a write past the watermark makes the connection wait in drain()
+        # before its next read; below it, nothing drains
+        requests = [
+            {"op": "solve", "id": i, "pool": "campus-exp", "age": float(i)}
+            for i in range(20)
+        ]
+        for buffered, expected in ((0, 0), (server_module._DRAIN_WATERMARK + 1, 2)):
+            server = _server(max_batch=8)
+            writer = _CountingWriter(buffered=buffered)
+            with use_solver_cache(SolverCache()):
+                writes = _pipelined(server, requests, writer)
+            # the two full batches flush while the connection reads; the
+            # last four answer after EOF, when nothing is read any more
+            assert writer.drains == expected
+            assert len(b"".join(writes).decode().splitlines()) == len(requests)
+
+    def test_control_replies_written_in_read_order_with_solves(self):
+        # a register pipelined ahead of solves takes effect for them, and
+        # the shutdown reply is written before the handler returns
+        server = _server()
+        weibull = Weibull(0.43, 3409.0)
+        requests = [
+            {"op": "solve", "id": 0, "pool": "lab", "age": 10.0},
+            {"op": "register", "id": 1, "pool": "lab", "model": WEIBULL_SPEC, "costs": COSTS_PAYLOAD},
+            {"op": "solve", "id": 2, "pool": "lab", "age": 10.0},
+            {"op": "shutdown", "id": 3},
+        ]
+        with use_solver_cache(None):
+            writes = _pipelined(server, requests)
+            direct = optimize_interval(weibull, CheckpointCosts(110.0, 110.0, 0.0), age=10.0)
+        responses = {r["id"]: r for r in map(json.loads, b"".join(writes).decode().splitlines())}
+        assert responses[0]["error"]["code"] == "unknown-pool"
+        assert responses[1]["ok"] is True
+        assert responses[2]["result"]["T_opt"] == direct.T_opt
+        assert responses[3]["stopping"] is True
 
 
 class TestStdio:

@@ -376,13 +376,13 @@ class TestBackpressure:
                 registry=demo_registry(),
             )
             peak = [0]
-            submit = server.batcher.submit
+            enqueue = server.batcher.enqueue
 
-            async def counted(query):
+            def counted(query, reply):
                 peak[0] = max(peak[0], server._inflight)
-                return await submit(query)
+                enqueue(query, reply)
 
-            server.batcher.submit = counted
+            server.batcher.enqueue = counted
             await server.start()
             try:
                 reader, writer = await asyncio.open_connection(

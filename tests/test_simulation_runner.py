@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.obs.tracing import TraceRecorder
+from repro.obs.tracing import use as use_trace
 from repro.simulation import SimulationConfig, SweepSettings, simulate_machine, simulate_pool
 from repro.traces import SyntheticPoolConfig, generate_condor_pool
 
@@ -84,6 +86,21 @@ class TestPoolSweep:
         serial = simulate_pool(pool, SMALL_SETTINGS, n_workers=1)
         parallel = simulate_pool(pool, SMALL_SETTINGS, n_workers=2)
         assert parallel.results == serial.results
+
+    def test_fan_out_trace_keeps_sampling_and_limit(self, pool):
+        """Fan-out tasks record with the parent recorder's stride sampling
+        and capacity; per-machine strides keep other events than the
+        serial order does, but the same events pass through."""
+        traces = list(pool)[:3]
+        seen = {}
+        for workers in (1, 2):
+            with use_trace(TraceRecorder(max_events=300, sampling={"replay": 10})) as rec:
+                simulate_pool(traces, SMALL_SETTINGS, n_workers=workers)
+            assert rec.n_sampled_out > 0
+            assert len(rec) <= 300
+            assert rec.n_dropped > 0
+            seen[workers] = rec.n_recorded + rec.n_sampled_out
+        assert seen[1] == seen[2]
 
     def test_more_workers_than_machines(self, pool):
         traces = list(pool)[:2]
