@@ -16,7 +16,7 @@ everything in ``repro.obs``:
   shared family, values escaped per the exposition grammar.
 
 :func:`parse_prometheus_text` is the matching minimal parser: it
-validates the grammar (the soak harness runs it against every mid-run
+validates the grammar (the serve soak runs it against every mid-run
 scrape, and the tests against every rendering) and returns the samples
 for programmatic checks.
 """

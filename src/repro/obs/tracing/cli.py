@@ -9,13 +9,18 @@ Subcommands::
     repro trace diff a.json b.json          # per-category deltas
 
 All subcommands read the schema ``repro.obs.trace/1`` JSONL files that
-``--trace PATH`` writes (see ``docs/OBSERVABILITY.md``).
+``--trace PATH`` writes (see ``docs/OBSERVABILITY.md``).  Exit status:
+0 on success, 2 on a usage error, and 141 (128 + SIGPIPE, what a shell
+reports for a reader-killed writer) when stdout closes before the output
+is written, as in ``repro trace summary t.jsonl | head -1``; that case
+prints nothing to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO, Any
 
@@ -28,7 +33,10 @@ from repro.obs.tracing.export import (
 from repro.obs.tracing.recorder import TraceEvent
 from repro.obs.tracing.timeline import burstiness, link_timeline, render_timeline
 
-__all__ = ["main"]
+__all__ = ["EXIT_BROKEN_PIPE", "main"]
+
+#: exit status when the reader closes stdout early
+EXIT_BROKEN_PIPE = 141
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,6 +85,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str], stdout: IO[str] | None = None) -> int:
     sink = stdout if stdout is not None else sys.stdout
     args = _build_parser().parse_args(argv)
+    try:
+        status = _run(args, sink)
+        sink.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the interpreter's
+        # flush at exit, to /dev/null instead of a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(args: argparse.Namespace, sink: IO[str]) -> int:
     if args.subcommand == "summary":
         header, events = load_trace(args.path)
         print(_render_summary(header, events), file=sink)

@@ -16,7 +16,8 @@ JSON-lines protocol, with
   restarts answer their first queries hot;
 * a **load generator** (:mod:`repro.serve.bench`, ``repro
   bench-serve``): closed- and open-loop arrival shapes with QPS and
-  latency percentile reporting.
+  latency percentile reporting, and the ``--soak`` run that samples a
+  loaded daemon's metrics into a JSONL time series.
 
 See ``docs/SERVING.md`` for the protocol and lifecycle.
 """
@@ -32,7 +33,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.registry import PoolEntry, TenantRegistry, UnknownPoolError
 from repro.serve.server import ScheduleServer, ServerConfig
-from repro.serve.snapshot import SnapshotError, load_cache_snapshot, save_cache_snapshot
+from repro.serve.snapshot import SnapshotError
 
 __all__ = [
     "FAMILIES",
@@ -51,7 +52,5 @@ __all__ = [
     "UnknownPoolError",
     "distribution_from_spec",
     "distribution_to_spec",
-    "load_cache_snapshot",
     "parse_request",
-    "save_cache_snapshot",
 ]

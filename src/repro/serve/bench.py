@@ -1,4 +1,4 @@
-"""Load generator for ``repro serve``: closed- and open-loop arrivals.
+"""Load generator for ``repro serve``: the bench, the soak and ``--connect``.
 
 Two canonical serving-load shapes (the serving-benchmark literature's
 pair) drive a real daemon over localhost TCP:
@@ -17,48 +17,78 @@ pools (the paper's model families), ages drawn from a small bucket set
 -- so duplicate in-flight queries exercise the micro-batcher's dedup --
 plus a slice of unique ages that force fresh solves.
 
-``run_bench`` assembles the full ``BENCH_serve.json`` artifact: both
-loops, batching effectiveness (solves per request), a served-vs-direct
-equivalence sweep, and the cold-vs-warm restart comparison (the warm
-daemon loads a cache snapshot and must show a higher initial hit rate).
-``benchmarks/check_serve_regression.py`` gates the deterministic fields
-in CI; latency/QPS numbers are reported for humans.
+Three runs share one :class:`BenchConfig`, one daemon start-up
+(:func:`_daemon`: a fresh solver cache and the demo pools) and one
+request helper (:func:`_request`):
+
+* :func:`run_bench` assembles the full ``BENCH_serve.json`` artifact:
+  both loops, batching effectiveness (solves per request), a
+  served-vs-direct equivalence sweep, the cold-vs-warm restart
+  comparison (the warm daemon loads a cache snapshot and must show a
+  higher initial hit rate) and the multi-worker scaling sweep.
+  ``benchmarks/check_serve_regression.py`` gates the deterministic
+  fields in CI; latency/QPS numbers are reported for humans.
+* :func:`run_soak` (``repro bench-serve --soak``) keeps the open loop
+  running for ``duration_s`` while a sampler scrapes the daemon from
+  the outside -- through the ``metrics``/``health`` protocol ops *and*
+  the ``--metrics-port`` HTTP endpoint, whose every body goes through
+  :func:`~repro.obs.prometheus.parse_prometheus_text` -- into a
+  ``repro.bench.soak/1`` JSONL time series (header, one ``sample``
+  record per interval, ``summary``).  ``benchmarks/check_soak_regression.py``
+  gates its error count, **conservation** (the per-tenant
+  ``serve.tenant.requests{op=solve}`` counters plus busy rejections sum
+  *exactly* to the sent count) and Prometheus parse failures;
+  :func:`detect_drift` flags climbing RSS, queue depth or per-interval
+  latency.  RSS comes from ``/proc/self/status`` read off-loop.
+* :func:`run_against` (``--connect``) puts open-loop load on a daemon
+  that is already running (the CI smoke test).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import dataclasses
 import json
+import math
 import os
 import time
+from collections.abc import AsyncIterator
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from repro.core.markov import CheckpointCosts
 from repro.core.optimizer import optimize_interval
 from repro.core.solver_cache import SolverCache, use_solver_cache
-from repro.distributions.exponential import Exponential
-from repro.distributions.hyperexponential import Hyperexponential
-from repro.distributions.weibull import Weibull
-from repro.serve.models import distribution_to_spec
+from repro.obs.metrics import decode_series
+from repro.obs.prometheus import PrometheusParseError, parse_prometheus_text
 from repro.serve.protocol import dumps
-from repro.serve.registry import TenantRegistry
+from repro.serve.registry import (
+    DEMO_POOLS,
+    TenantRegistry,
+    demo_registry,
+    distribution_specs,
+)
 from repro.serve.server import ScheduleServer, ServerConfig
 from repro.serve.snapshot import worker_snapshot_path
 from repro.serve.workers import WorkerPool, WorkerPoolConfig
 from repro.stats import mean_ci
 
 __all__ = [
-    "BenchConfig",
     "BENCH_SCHEMA",
-    "demo_registry",
+    "SOAK_SCHEMA",
+    "BenchConfig",
+    "detect_drift",
+    "run_against",
     "run_bench",
+    "run_open_loop",
+    "run_soak",
     "run_worker_sweep",
 ]
 
 BENCH_SCHEMA = "repro.bench.serve/2"
+SOAK_SCHEMA = "repro.bench.soak/1"
 
 #: the ``--workers`` scaling sweep measures these pool sizes
 SWEEP_WORKER_COUNTS = (1, 2, 4)
@@ -72,29 +102,45 @@ SWEEP_CLIENTS_PER_WORKER = 8
 #: 1-worker point is window-bound and the scaling headroom is real CPU
 SWEEP_BATCH_WINDOW_S = 0.006
 
-#: the demo tenant set: the paper's three model families at campus costs
-_DEMO_POOLS: tuple[tuple[str, Any, CheckpointCosts], ...] = (
-    ("campus-exp", Exponential(1.0 / 5000.0), CheckpointCosts(110.0, 110.0, 0.0)),
-    ("campus-weibull", Weibull(0.43, 3409.0), CheckpointCosts(110.0, 110.0, 0.0)),
-    (
-        "campus-hyper2",
-        Hyperexponential([0.5, 0.5], [1.0 / 100.0, 1.0 / 9000.0]),
-        CheckpointCosts(110.0, 110.0, 10.0),
-    ),
+#: drift verdict thresholds: a signal drifts when its last-third mean
+#: exceeds its first-third mean by this factor AND most inter-sample
+#: deltas are increases (a spiky-but-stable signal fails the second
+#: test, a slow monotone leak passes both)
+_DRIFT_RATIO = 1.3
+_DRIFT_INCREASE_FRACTION = 0.6
+
+#: the settings each artifact records in its ``config`` block
+_BENCH_SETTINGS = (
+    "requests",
+    "clients",
+    "rate_qps",
+    "open_loop_requests",
+    "age_buckets",
+    "unique_age_fraction",
+    "seed",
+    "batch_window_s",
+    "max_batch",
 )
-
-
-def demo_registry() -> TenantRegistry:
-    """A registry preloaded with the paper's model families."""
-    registry = TenantRegistry()
-    for name, dist, costs in _DEMO_POOLS:
-        registry.register(name, dist, costs)
-    return registry
+_SOAK_SETTINGS = (
+    "duration_s",
+    "sample_every_s",
+    "rate_qps",
+    "seed",
+    "batch_window_s",
+    "max_batch",
+    "max_inflight",
+)
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Knobs of one bench run (defaults sized for CI)."""
+    """Knobs of one bench, soak or ``--connect`` run (defaults sized for CI).
+
+    ``requests``, ``clients`` and ``equivalence_sample`` size the
+    closed-loop phases and ``open_loop_requests`` the open loop; the
+    soak sends ``rate_qps * duration_s`` requests, samples every
+    ``sample_every_s`` seconds and caps its daemon at ``max_inflight``.
+    """
 
     requests: int = 2000
     clients: int = 8
@@ -106,6 +152,9 @@ class BenchConfig:
     batch_window_s: float = 0.002
     max_batch: int = 256
     equivalence_sample: int = 50
+    duration_s: float = 30.0
+    sample_every_s: float = 2.0
+    max_inflight: int | None = None
 
     def __post_init__(self) -> None:
         if self.requests < 1:
@@ -128,6 +177,27 @@ class BenchConfig:
             raise ValueError(
                 f"equivalence sample must be >= 0, got {self.equivalence_sample}"
             )
+        if self.duration_s <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration_s}")
+        if self.sample_every_s <= 0:
+            raise ValueError(
+                f"sample interval must be positive, got {self.sample_every_s}"
+            )
+        if self.sample_every_s > self.duration_s:
+            raise ValueError(
+                f"sample interval {self.sample_every_s} exceeds duration "
+                f"{self.duration_s}"
+            )
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ValueError(
+                f"max in-flight cap must be >= 1, got {self.max_inflight}"
+            )
+
+    def as_dict(self, names: tuple[str, ...] | None = None) -> dict[str, Any]:
+        """The settings in ``names`` (default: every one) by name."""
+        if names is None:
+            return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in names}
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +212,7 @@ def build_queries(config: BenchConfig, n: int, *, phase: int = 0) -> list[dict[s
     ``phase`` offsets the RNG so successive streams differ.
     """
     rng = np.random.default_rng(config.seed + phase)
-    pools = [name for name, _, _ in _DEMO_POOLS]
+    pools = [name for name, _, _ in DEMO_POOLS]
     buckets = {
         name: np.round(rng.uniform(0.0, 2.0e4, size=config.age_buckets), 0)
         for name in pools
@@ -159,22 +229,34 @@ def build_queries(config: BenchConfig, n: int, *, phase: int = 0) -> list[dict[s
 
 
 # ----------------------------------------------------------------------
-# TCP client loops
+# TCP clients
 # ----------------------------------------------------------------------
-async def _request_once(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    payload: dict[str, Any],
-) -> dict[str, Any]:
-    writer.write((dumps(payload) + "\n").encode())
-    await writer.drain()
-    raw = await reader.readline()
-    if not raw:
-        raise ConnectionError("server closed the connection mid-request")
-    data = json.loads(raw)
-    if not isinstance(data, dict):
-        raise ConnectionError(f"malformed response: {raw!r}")
-    return data
+async def _request(
+    host: str, port: int, *payloads: dict[str, Any]
+) -> list[dict[str, Any]]:
+    """Send ``payloads`` over one fresh connection, each once the last
+    is answered, and return the answers.  A fresh connection never
+    competes with a load connection's pipeline.  A dropped connection or
+    an answer that is not ``ok`` raises :class:`ConnectionError`."""
+    answers: list[dict[str, Any]] = []
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        for payload in payloads:
+            writer.write((dumps(payload) + "\n").encode())
+            await writer.drain()
+            raw = await reader.readline()
+            if not raw:
+                raise ConnectionError(
+                    f"server closed the connection during {payload['op']!r}"
+                )
+            data = json.loads(raw)
+            if not isinstance(data, dict) or not data.get("ok", False):
+                raise ConnectionError(f"{payload['op']} failed: {data!r}")
+            answers.append(data)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return answers
 
 
 async def _closed_loop_client(
@@ -252,7 +334,7 @@ async def run_open_loop(
     """Fire ``queries`` at Poisson arrival times over one pipelined
     connection; returns (latencies, wall seconds, error count).
 
-    Pass ``latencies`` to observe completions live (the soak harness's
+    Pass ``latencies`` to observe completions live (the soak's
     sampler reads the growing list mid-run); by default a fresh list is
     used and returned either way.
     """
@@ -311,23 +393,28 @@ def summarize_latencies(
     ``errors`` is the failed-response count of the loop that produced
     ``latencies``; it lands in the summary as both the raw count and a
     rate so artifact consumers never recompute it from raw totals.
+    With nothing completed every latency field is ``None``.
     """
-    lat = np.asarray(latencies, dtype=np.float64) * 1e3
-    ci = mean_ci(lat)
+    latency_ms: dict[str, float | None] = dict.fromkeys(
+        ("mean", "mean_ci95_half_width", "p50", "p95", "p99", "max")
+    )
+    if latencies:
+        lat = np.asarray(latencies, dtype=np.float64) * 1e3
+        latency_ms = {
+            "mean": float(np.mean(lat)),
+            "mean_ci95_half_width": mean_ci(lat).half_width,
+            "p50": float(np.percentile(lat, 50)),
+            "p95": float(np.percentile(lat, 95)),
+            "p99": float(np.percentile(lat, 99)),
+            "max": float(np.max(lat)),
+        }
     return {
         "requests": len(latencies),
         "wall_s": wall_s,
         "qps": len(latencies) / wall_s if wall_s > 0 else 0.0,
         "errors": errors,
         "error_rate": errors / len(latencies) if latencies else 0.0,
-        "latency_ms": {
-            "mean": float(np.mean(lat)),
-            "mean_ci95_half_width": ci.half_width,
-            "p50": float(np.percentile(lat, 50)),
-            "p95": float(np.percentile(lat, 95)),
-            "p99": float(np.percentile(lat, 99)),
-            "max": float(np.max(lat)),
-        },
+        "latency_ms": latency_ms,
     }
 
 
@@ -365,27 +452,43 @@ def _equivalence_sample_ids(config: BenchConfig, n: int) -> set[int]:
 # ----------------------------------------------------------------------
 # the full artifact run
 # ----------------------------------------------------------------------
-async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, Any]:
-    artifact: dict[str, Any] = {}
-
-    # -- phase 1: closed loop on a cold cache --------------------------
-    cold_cache = SolverCache()
-    with use_solver_cache(cold_cache):
+@contextlib.asynccontextmanager
+async def _daemon(
+    config: BenchConfig, **options: Any
+) -> AsyncIterator[tuple[ScheduleServer, int, SolverCache]]:
+    """A started daemon on the demo pools over a fresh solver cache,
+    yielded as (server, port, cache) and stopped on the way out whatever
+    happens.  ``options`` are further :class:`ServerConfig` fields; with
+    a ``snapshot_path`` the stop writes the final snapshot."""
+    cache = SolverCache()
+    with use_solver_cache(cache):
         server = ScheduleServer(
             ServerConfig(
                 batch_window_s=config.batch_window_s,
                 max_batch=config.max_batch,
-                snapshot_path=snapshot_path,
-                snapshot_interval_s=3600.0,
+                **options,
             ),
             registry=demo_registry(),
         )
         await server.start()
-        assert server.port is not None
-        queries = build_queries(config, config.requests)
+        try:
+            assert server.port is not None
+            yield server, server.port, cache
+        finally:
+            await server.stop()
+
+
+async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, Any]:
+    artifact: dict[str, Any] = {}
+    snapshots = {"snapshot_path": snapshot_path, "snapshot_interval_s": 3600.0}
+
+    # -- phase 1: closed loop on a cold cache --------------------------
+    # (the daemon's stop writes the snapshot the warm restart loads)
+    queries = build_queries(config, config.requests)
+    async with _daemon(config, **snapshots) as (server, port, cold_cache):
         latencies, wall, results = await run_closed_loop(
             "127.0.0.1",
-            server.port,
+            port,
             queries,
             config.clients,
             _equivalence_sample_ids(config, len(queries)),
@@ -393,7 +496,6 @@ async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, An
         cold_hits, cold_misses = cold_cache.hits, cold_cache.misses
         equivalence = _check_equivalence(config, queries, results, server.registry)
         batch_stats = server.batcher.stats.as_dict()
-        await server.stop()  # writes the snapshot warm restarts load
 
     artifact["closed_loop"] = summarize_latencies(latencies, wall)
     artifact["batching"] = {
@@ -415,25 +517,12 @@ async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, An
     }
 
     # -- phase 2: warm restart, same stream ----------------------------
-    warm_cache = SolverCache()
-    with use_solver_cache(warm_cache):
-        server = ScheduleServer(
-            ServerConfig(
-                batch_window_s=config.batch_window_s,
-                max_batch=config.max_batch,
-                snapshot_path=snapshot_path,
-                snapshot_interval_s=3600.0,
-            ),
-            registry=demo_registry(),
-        )
-        await server.start()
-        assert server.port is not None
+    async with _daemon(config, **snapshots) as (server, port, warm_cache):
         warm_latencies, warm_wall, _ = await run_closed_loop(
-            "127.0.0.1", server.port, queries, config.clients, set()
+            "127.0.0.1", port, queries, config.clients, set()
         )
         warm_hits, warm_misses = warm_cache.hits, warm_cache.misses
         loaded = server.warm_loaded_entries
-        await server.stop()
 
     artifact["warm_start"] = {
         "snapshot_entries_loaded": loaded,
@@ -446,20 +535,11 @@ async def _bench_phases(config: BenchConfig, snapshot_path: str) -> dict[str, An
     }
 
     # -- phase 3: open loop at a fixed offered rate --------------------
-    with use_solver_cache(SolverCache()):
-        server = ScheduleServer(
-            ServerConfig(
-                batch_window_s=config.batch_window_s, max_batch=config.max_batch
-            ),
-            registry=demo_registry(),
-        )
-        await server.start()
-        assert server.port is not None
-        open_queries = build_queries(config, config.open_loop_requests, phase=1)
+    open_queries = build_queries(config, config.open_loop_requests, phase=1)
+    async with _daemon(config) as (_, port, _):
         open_latencies, open_wall, open_errors = await run_open_loop(
-            "127.0.0.1", server.port, open_queries, config.rate_qps, config.seed
+            "127.0.0.1", port, open_queries, config.rate_qps, config.seed
         )
-        await server.stop()
 
     if open_errors:
         raise RuntimeError(
@@ -479,17 +559,7 @@ def run_bench(
     """Run every phase and assemble the ``BENCH_serve.json`` artifact."""
     artifact = asyncio.run(_bench_phases(config, snapshot_path))
     artifact["schema"] = BENCH_SCHEMA
-    artifact["config"] = {
-        "requests": config.requests,
-        "clients": config.clients,
-        "rate_qps": config.rate_qps,
-        "open_loop_requests": config.open_loop_requests,
-        "age_buckets": config.age_buckets,
-        "unique_age_fraction": config.unique_age_fraction,
-        "seed": config.seed,
-        "batch_window_s": config.batch_window_s,
-        "max_batch": config.max_batch,
-    }
+    artifact["config"] = config.as_dict(_BENCH_SETTINGS)
     if workers_sweep:
         artifact["workers_sweep"] = run_worker_sweep(config, f"{snapshot_path}.sweep")
     return artifact
@@ -624,30 +694,18 @@ async def _run_against(
 ) -> dict[str, Any]:
     queries = build_queries(config, config.open_loop_requests, phase=2)
     # the external daemon may not have the demo pools: ship inline models
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        pong = await _request_once(reader, writer, {"op": "ping", "id": "smoke"})
-        if not pong.get("ok"):
-            raise ConnectionError(f"ping failed: {pong!r}")
-        for spec in distribution_specs():
-            response = await _request_once(reader, writer, {"op": "register", **spec})
-            if not response.get("ok"):
-                raise ConnectionError(f"register failed: {response!r}")
-    finally:
-        writer.close()
-        await writer.wait_closed()
+    await _request(
+        host,
+        port,
+        {"op": "ping", "id": "smoke"},
+        *({"op": "register", **spec} for spec in distribution_specs()),
+    )
     latencies, wall, errors = await run_open_loop(
         host, port, queries, config.rate_qps, config.seed
     )
-    summary = summarize_latencies(latencies, wall, errors=errors)
     if shutdown:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await _request_once(reader, writer, {"op": "shutdown", "id": "smoke-end"})
-        finally:
-            writer.close()
-            await writer.wait_closed()
-    return summary
+        await _request(host, port, {"op": "shutdown", "id": "smoke-end"})
+    return summarize_latencies(latencies, wall, errors=errors)
 
 
 def run_against(
@@ -657,17 +715,240 @@ def run_against(
     return asyncio.run(_run_against(host, port, config, shutdown=shutdown))
 
 
-def distribution_specs() -> list[dict[str, Any]]:
-    """The demo pool definitions as JSON-ready registration payloads."""
-    return [
-        {
-            "pool": name,
-            "model": distribution_to_spec(dist),
-            "costs": {
-                "checkpoint": costs.checkpoint,
-                "recovery": costs.recovery,
-                "latency": costs.latency,
-            },
+# ----------------------------------------------------------------------
+# soak: open-loop load with live out-of-band sampling
+# ----------------------------------------------------------------------
+def _read_rss_mb() -> float | None:
+    """Resident set size in MB from ``/proc/self/status`` (Linux); the
+    soak reports ``None`` per sample where the file is unavailable."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return float(line.split()[1]) / 1024.0
+    except OSError:
+        return None
+    return None
+
+
+async def _http_get(host: str, port: int, path: str) -> tuple[int, str]:
+    """Minimal HTTP GET against the metrics endpoint; returns
+    (status, body)."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(
+            f"GET {path} HTTP/1.1\r\nHost: {host}\r\nConnection: close\r\n\r\n".encode()
+        )
+        await writer.drain()
+        raw = await reader.read()
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    head, _, body = raw.decode().partition("\r\n\r\n")
+    status_line = head.split("\r\n", 1)[0]
+    return int(status_line.split()[1]), body
+
+
+def _tenant_solve_counts(metrics: dict[str, Any]) -> dict[str, float]:
+    """Per-tenant solve-request counts from a metrics snapshot.
+
+    Filters the labeled ``serve.tenant.requests`` counters to
+    ``op=solve`` so the sampler's own ``metrics``/``health`` traffic
+    never pollutes the conservation check.
+    """
+    counts: dict[str, float] = {}
+    for key, value in metrics.get("counters", {}).items():
+        base, labels = decode_series(key)
+        if base == "serve.tenant.requests" and labels.get("op") == "solve":
+            tenant = labels.get("tenant", "-")
+            counts[tenant] = counts.get(tenant, 0.0) + float(value)
+    return counts
+
+
+def detect_drift(values: list[float], *, min_last_mean: float = 0.0) -> dict[str, Any]:
+    """Flag a monotonically climbing signal across soak samples.
+
+    Compares the first-third mean against the last-third mean and
+    counts the fraction of inter-sample deltas that are increases; the
+    signal *drifts* when the last third is more than ``_DRIFT_RATIO``
+    times the first **and** at least ``_DRIFT_INCREASE_FRACTION`` of
+    steps went up.  Too few samples (< 6) is an automatic non-verdict.
+
+    ``min_last_mean`` suppresses the verdict while the signal's
+    last-third mean stays below an absolute floor: small-integer
+    signals like queue depth bounce between 0 and 2 on a short run,
+    and a 0.5 -> 2.0 "ratio of 4" there is noise, not a leak (a real
+    backlog grows without bound and clears any floor).
+    """
+    clean = [float(v) for v in values if v is not None and math.isfinite(float(v))]
+    if len(clean) < 6:
+        return {
+            "samples": len(clean),
+            "first_third_mean": None,
+            "last_third_mean": None,
+            "ratio": None,
+            "increase_fraction": None,
+            "drifting": False,
         }
-        for name, dist, costs in _DEMO_POOLS
-    ]
+    third = len(clean) // 3
+    first = float(np.mean(clean[:third]))
+    last = float(np.mean(clean[-third:]))
+    deltas = np.diff(clean)
+    increase_fraction = float(np.mean(deltas > 0)) if len(deltas) else 0.0
+    ratio = last / first if first > 0 else (math.inf if last > 0 else 1.0)
+    return {
+        "samples": len(clean),
+        "first_third_mean": first,
+        "last_third_mean": last,
+        "ratio": ratio,
+        "increase_fraction": increase_fraction,
+        "drifting": bool(
+            last >= min_last_mean
+            and ratio > _DRIFT_RATIO
+            and increase_fraction >= _DRIFT_INCREASE_FRACTION
+        ),
+    }
+
+
+async def _soak(config: BenchConfig) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """Run the daemon + load + sampler; returns (samples, summary)."""
+    n = max(1, int(round(config.rate_qps * config.duration_s)))
+    queries = build_queries(config, n, phase=3)
+    samples: list[dict[str, Any]] = []
+    prom_parse_failures = 0
+    # completions so far: the open loop appends to it as answers land
+    latencies: list[float] = []
+    sampled = 0
+
+    async with _daemon(
+        config, metrics_port=0, max_inflight=config.max_inflight
+    ) as (server, port, _):
+        host = server.config.host
+        metrics_port = server.metrics_port
+        assert metrics_port is not None
+        epoch = time.perf_counter()
+
+        async def sample_once() -> None:
+            nonlocal prom_parse_failures, sampled
+            t_s = time.perf_counter() - epoch
+            health, metrics = await _request(
+                host, port, {"op": "health"}, {"op": "metrics"}
+            )
+            status, body = await _http_get(host, metrics_port, "/metrics")
+            try:
+                if status != 200:
+                    raise PrometheusParseError(f"HTTP {status} from /metrics")
+                parse_prometheus_text(body)
+            except PrometheusParseError:
+                prom_parse_failures += 1
+            rss_mb = await asyncio.to_thread(_read_rss_mb)
+            interval = latencies[sampled:]
+            sampled += len(interval)
+            state = health["health"]
+            samples.append(
+                {
+                    "kind": "sample",
+                    "t_s": round(t_s, 3),
+                    "rss_mb": rss_mb,
+                    "queue_depth": state["queue_depth"],
+                    "inflight": state["inflight"],
+                    "requests": state["requests"],
+                    "errors": state["errors"],
+                    "rejected": state["rejected"],
+                    "interval_latency_ms_mean": (sum(interval) / len(interval) * 1e3)
+                    if interval
+                    else None,
+                    "interval_completed": len(interval),
+                    "tenant_solve_requests": _tenant_solve_counts(metrics["metrics"]),
+                }
+            )
+
+        stop_sampling = asyncio.Event()
+
+        async def sampler() -> None:
+            while not stop_sampling.is_set():
+                try:
+                    await asyncio.wait_for(
+                        stop_sampling.wait(), timeout=config.sample_every_s
+                    )
+                except TimeoutError:
+                    pass
+                if stop_sampling.is_set():
+                    break
+                await sample_once()
+
+        sampler_task = asyncio.ensure_future(sampler())
+        try:
+            _, wall, errors = await run_open_loop(
+                host, port, queries, config.rate_qps, config.seed, latencies=latencies
+            )
+        finally:
+            stop_sampling.set()
+            await sampler_task
+
+        # the post-load sample is the conservation measurement: every
+        # response has been received, so the counters are settled
+        await sample_once()
+
+    final_counts = samples[-1]["tenant_solve_requests"]
+    per_tenant_total = sum(final_counts.values())
+    rejected = int(samples[-1]["rejected"])
+    # busy rejections are deliberate shedding at the --max-inflight cap,
+    # reported separately -- "errors" keeps meaning failures
+    load = summarize_latencies(latencies, wall, errors=errors - rejected)
+    drift = {
+        "rss_mb": detect_drift([s["rss_mb"] for s in samples]),
+        # a handful of queued queries is the batching window doing its
+        # job; only a sustained double-digit backlog can be a leak
+        "queue_depth": detect_drift(
+            [float(s["queue_depth"]) for s in samples], min_last_mean=10.0
+        ),
+        "interval_latency_ms_mean": detect_drift(
+            [s["interval_latency_ms_mean"] for s in samples]
+        ),
+    }
+    summary = {
+        "kind": "summary",
+        "sent": n,
+        "completed": load["requests"],
+        "errors": load["errors"],
+        "wall_s": wall,
+        "qps_offered": config.rate_qps,
+        "qps_achieved": load["qps"],
+        "latency_ms": load["latency_ms"],
+        "samples": len(samples),
+        "prom_parse_failures": prom_parse_failures,
+        "rejected": rejected,
+        "conservation": {
+            # a request either reached a tenant solve or was rejected at
+            # the backpressure cap -- nothing may vanish in between
+            "sent": n,
+            "rejected": rejected,
+            "per_tenant_total": per_tenant_total,
+            "per_tenant": final_counts,
+            "exact": per_tenant_total + rejected == n,
+        },
+        "drift": drift,
+    }
+    return samples, summary
+
+
+def run_soak(config: BenchConfig, out_path: str | None = None) -> dict[str, Any]:
+    """Run the soak; optionally write the JSONL artifact.
+
+    Returns the summary record.  The artifact is written *after* the
+    run from in-memory records (one synchronous write; the event loop
+    never does file I/O).
+    """
+    samples, summary = asyncio.run(_soak(config))
+    if out_path is not None:
+        header = {
+            "schema": SOAK_SCHEMA,
+            "kind": "header",
+            "config": config.as_dict(_SOAK_SETTINGS),
+        }
+        with open(out_path, "w") as fh:
+            for record in (header, *samples, summary):
+                fh.write(json.dumps(record, sort_keys=True))
+                fh.write("\n")
+    return summary

@@ -7,16 +7,9 @@ import json
 import sys
 from typing import Any, TextIO
 
-from repro.serve.bench import (
-    BenchConfig,
-    demo_registry,
-    distribution_specs,
-    run_against,
-    run_bench,
-)
 from repro.serve.models import distribution_from_spec
 from repro.serve.protocol import costs_from_payload
-from repro.serve.registry import TenantRegistry
+from repro.serve.registry import TenantRegistry, demo_registry, distribution_specs
 from repro.serve.server import ScheduleServer, ServerConfig
 
 __all__ = ["bench_main", "serve_main"]
@@ -362,23 +355,28 @@ def bench_main(argv: list[str], stdout: TextIO | None = None) -> int:
 
     if args.batch_window_ms < 0:
         raise SystemExit("error: --batch-window-ms must be >= 0")
-    if args.soak:
-        if args.connect:
-            raise SystemExit("error: --soak runs its own daemon; drop --connect")
-        from repro.serve.soak import SoakConfig, run_soak
+    if args.soak and args.connect:
+        raise SystemExit("error: --soak runs its own daemon; drop --connect")
+    # the load generator loads here, not with the daemon's CLI
+    from repro.serve.bench import BenchConfig, run_against, run_bench, run_soak
 
-        try:
-            soak_config = SoakConfig(
-                duration_s=args.soak_seconds,
-                sample_every_s=args.sample_every,
-                rate_qps=args.rate,
-                seed=args.seed,
-                batch_window_s=args.batch_window_ms / 1e3,
-                max_inflight=args.max_inflight,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        summary = run_soak(soak_config, args.out)
+    try:
+        config = BenchConfig(
+            requests=args.requests,
+            clients=args.clients,
+            rate_qps=args.rate,
+            open_loop_requests=args.open_requests,
+            seed=args.seed,
+            batch_window_s=args.batch_window_ms / 1e3,
+            duration_s=args.soak_seconds,
+            sample_every_s=args.sample_every,
+            max_inflight=args.max_inflight,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+
+    if args.soak:
+        summary = run_soak(config, args.out)
         conservation = summary["conservation"]
         drifting = [k for k, v in summary["drift"].items() if v["drifting"]]
         print(
@@ -395,17 +393,6 @@ def bench_main(argv: list[str], stdout: TextIO | None = None) -> int:
             print("error: soak run failed its invariants", file=sys.stderr)
             return 1
         return 0
-    try:
-        config = BenchConfig(
-            requests=args.requests,
-            clients=args.clients,
-            rate_qps=args.rate,
-            open_loop_requests=args.open_requests,
-            seed=args.seed,
-            batch_window_s=args.batch_window_ms / 1e3,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
 
     if args.connect:
         host, sep, port_text = args.connect.rpartition(":")

@@ -16,17 +16,34 @@ label partition starts: every mutation records a
 ``serve.tenant.registry`` event labeled with the pool name and action,
 so the labeled series for a tenant exists from the moment it registers
 (cardinality is bounded by the metrics registry's label cap).
+
+:data:`DEMO_POOLS` is the demo tenant set ``repro serve --demo`` and
+``repro bench-serve`` preload: :func:`demo_registry` for one process,
+:func:`distribution_specs` as registration payloads (worker pools,
+``--connect``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.markov import CheckpointCosts
 from repro.distributions.base import AvailabilityDistribution
+from repro.distributions.exponential import Exponential
+from repro.distributions.hyperexponential import Hyperexponential
+from repro.distributions.weibull import Weibull
 from repro.obs.metrics import active as _metrics
+from repro.serve.models import distribution_to_spec
 
-__all__ = ["PoolEntry", "TenantRegistry", "UnknownPoolError"]
+__all__ = [
+    "DEMO_POOLS",
+    "PoolEntry",
+    "TenantRegistry",
+    "UnknownPoolError",
+    "demo_registry",
+    "distribution_specs",
+]
 
 
 class UnknownPoolError(KeyError):
@@ -106,3 +123,39 @@ class TenantRegistry:
 
     def __contains__(self, name: object) -> bool:
         return name in self._pools
+
+
+#: the demo tenant set: the paper's three model families at campus costs
+DEMO_POOLS: tuple[tuple[str, AvailabilityDistribution, CheckpointCosts], ...] = (
+    ("campus-exp", Exponential(1.0 / 5000.0), CheckpointCosts(110.0, 110.0, 0.0)),
+    ("campus-weibull", Weibull(0.43, 3409.0), CheckpointCosts(110.0, 110.0, 0.0)),
+    (
+        "campus-hyper2",
+        Hyperexponential([0.5, 0.5], [1.0 / 100.0, 1.0 / 9000.0]),
+        CheckpointCosts(110.0, 110.0, 10.0),
+    ),
+)
+
+
+def demo_registry() -> TenantRegistry:
+    """A registry preloaded with the paper's model families."""
+    registry = TenantRegistry()
+    for name, dist, costs in DEMO_POOLS:
+        registry.register(name, dist, costs)
+    return registry
+
+
+def distribution_specs() -> list[dict[str, Any]]:
+    """The demo pool definitions as JSON-ready registration payloads."""
+    return [
+        {
+            "pool": name,
+            "model": distribution_to_spec(dist),
+            "costs": {
+                "checkpoint": costs.checkpoint,
+                "recovery": costs.recovery,
+                "latency": costs.latency,
+            },
+        }
+        for name, dist, costs in DEMO_POOLS
+    ]

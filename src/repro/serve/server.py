@@ -73,11 +73,9 @@ from repro.serve.registry import TenantRegistry, UnknownPoolError
 from repro.serve.snapshot import (
     SnapshotError,
     apply_snapshot_payload,
-    load_cache_snapshot,
     read_snapshot_payload,
     record_snapshot_error,
     record_snapshot_saved,
-    save_cache_snapshot,
     snapshot_payload,
     write_snapshot_payload,
 )
@@ -311,25 +309,6 @@ class ScheduleServer:
         trace timeline of the daemon)."""
         return time.perf_counter() - self._epoch
 
-    def warm_load(self) -> int:
-        """Load the configured snapshot into the active solver cache.
-
-        Synchronous variant for scripts and tests; the running daemon
-        uses :meth:`_warm_load_async` so the disk read happens off-loop.
-        Returns the number of entries inserted; a missing or invalid
-        snapshot file is a *cold start*, not an error (the daemon logs
-        it via ``serve.snapshot.load_failures`` and serves anyway).
-        """
-        path = self._warm_source()
-        if path is None:
-            return 0
-        self.warm_load_refused = None
-        try:
-            self.warm_loaded_entries = load_cache_snapshot(path)
-        except SnapshotError as exc:
-            self._warm_load_failed(path, exc)
-        return self.warm_loaded_entries
-
     def _warm_load_failed(self, path: str, exc: SnapshotError) -> None:
         """A warm load fell back to a cold start: counted always; a file
         that exists but was refused (torn, foreign or an older schema) is
@@ -355,8 +334,14 @@ class ScheduleServer:
         snapshot path itself."""
         return self.config.snapshot_source_path or self.config.snapshot_path
 
-    async def _warm_load_async(self) -> int:
-        """:meth:`warm_load` with the blocking read off the event loop."""
+    async def load_snapshot(self) -> int:
+        """Load the warm-start snapshot into the active solver cache.
+
+        The disk read runs off the event loop.  Returns the number of
+        entries inserted; a missing or invalid snapshot file is a *cold
+        start*, not an error (counted in ``serve.snapshot.load_failures``;
+        the daemon serves anyway).
+        """
         path = self._warm_source()
         if path is None:
             return 0
@@ -370,17 +355,6 @@ class ScheduleServer:
             self._warm_load_failed(path, exc)
         return self.warm_loaded_entries
 
-    def snapshot_now(self, path: str | None = None) -> int:
-        """Write a snapshot to ``path`` (default: the configured path).
-
-        Synchronous variant for scripts and tests; the running daemon
-        uses :meth:`_snapshot_async` so the disk write happens off-loop.
-        """
-        target = self._snapshot_target(path)
-        entries = save_cache_snapshot(target)
-        self._last_snapshot_wall = time.perf_counter()
-        return entries
-
     def _snapshot_target(self, path: str | None) -> str:
         target = path if path is not None else self.config.snapshot_path
         if target is None:
@@ -389,8 +363,9 @@ class ScheduleServer:
             )
         return target
 
-    async def _snapshot_async(self, path: str | None = None) -> int:
-        """Write a snapshot without stalling the event loop.
+    async def write_snapshot(self, path: str | None = None) -> int:
+        """Write a snapshot to ``path`` (default: the configured path)
+        without stalling the event loop; returns the entries written.
 
         The cache view is captured *on* the loop (a consistent snapshot,
         since all mutation happens there too) and the file write runs in
@@ -563,7 +538,7 @@ class ScheduleServer:
             if path is not None and not isinstance(path, str):
                 raise ProtocolError("bad-request", "'path' must be a string")
             try:
-                entries = await self._snapshot_async(path)
+                entries = await self.write_snapshot(path)
             except SnapshotError as exc:
                 return error_response(request_id, "snapshot-failed", str(exc))
             target = path if path is not None else self.config.snapshot_path
@@ -874,7 +849,7 @@ class ScheduleServer:
             # enable one for the daemon's lifetime (released in stop())
             _metrics_enable()
             self._owns_metrics = True
-        await self._warm_load_async()
+        await self.load_snapshot()
         self._server = await asyncio.start_server(
             self.handle_connection,
             host=self.config.host,
@@ -901,7 +876,7 @@ class ScheduleServer:
         while True:
             await asyncio.sleep(self.config.snapshot_interval_s)
             try:
-                await self._snapshot_async()
+                await self.write_snapshot()
             except SnapshotError:
                 # already counted via serve.snapshot.errors; a full disk
                 # must not kill the serving loop
@@ -936,7 +911,7 @@ class ScheduleServer:
             self._connections.clear()
         if self.config.snapshot_path is not None:
             try:
-                await self._snapshot_async()
+                await self.write_snapshot()
             except SnapshotError:
                 pass  # counted in serve.snapshot.errors; shutdown proceeds
         if self._metrics_endpoint is not None:
@@ -966,7 +941,7 @@ class ScheduleServer:
         the loop early.
         """
         self._stop = asyncio.Event()
-        await self._warm_load_async()
+        await self.load_snapshot()
         served = 0
         for line in lines:
             text = line.strip()
@@ -980,7 +955,7 @@ class ScheduleServer:
         self.batcher.drain()
         if self.config.snapshot_path is not None:
             try:
-                await self._snapshot_async()
+                await self.write_snapshot()
             except SnapshotError:
                 pass  # counted in serve.snapshot.errors
         return served

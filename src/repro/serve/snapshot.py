@@ -17,10 +17,11 @@ can snapshot without stalling its loop:
   view and the load an atomic merge;
 * :func:`write_snapshot_payload` / :func:`read_snapshot_payload` do the
   blocking file I/O and nothing else -- the daemon runs them under
-  :func:`asyncio.to_thread`, synchronous callers call them directly.
+  :func:`asyncio.to_thread`.
 
-:func:`save_cache_snapshot` and :func:`load_cache_snapshot` compose the
-two halves for synchronous use (CLI, tests, scripts).
+:meth:`~repro.serve.server.ScheduleServer.load_snapshot` and
+:meth:`~repro.serve.server.ScheduleServer.write_snapshot` compose the
+two halves; they are the only snapshot path.
 
 Writes are atomic -- the snapshot is written to a sibling temp file and
 :func:`os.replace`d into place -- so a crash mid-write leaves the
@@ -47,13 +48,11 @@ __all__ = [
     "MergeResult",
     "SnapshotError",
     "apply_snapshot_payload",
-    "load_cache_snapshot",
     "merge_snapshot_files",
     "read_snapshot_payload",
     "record_snapshot_error",
     "record_snapshot_merge",
     "record_snapshot_saved",
-    "save_cache_snapshot",
     "snapshot_payload",
     "worker_snapshot_path",
     "write_snapshot_payload",
@@ -153,7 +152,7 @@ def read_snapshot_payload(path: str) -> Any:
 
 
 # ----------------------------------------------------------------------
-# synchronous composition (CLI, tests, scripts)
+# loop-side metric hooks
 # ----------------------------------------------------------------------
 def record_snapshot_saved(entries: int) -> None:
     """Count one successful snapshot write (loop-side metric hook)."""
@@ -168,28 +167,6 @@ def record_snapshot_error() -> None:
     reg = _metrics()
     if reg is not None:
         reg.inc("serve.snapshot.errors")
-
-
-def save_cache_snapshot(path: str, cache: SolverCache | None = None) -> int:
-    """Atomically write ``cache`` (default: the active global cache) to
-    ``path``; returns the number of entries written."""
-    payload = snapshot_payload(cache)
-    try:
-        entries = write_snapshot_payload(path, payload)
-    except SnapshotError:
-        record_snapshot_error()
-        raise
-    record_snapshot_saved(entries)
-    return entries
-
-
-def load_cache_snapshot(
-    path: str, cache: SolverCache | None = None, *, stats: bool = False
-) -> int:
-    """Merge a snapshot file into ``cache`` (default: the active global
-    cache); returns the number of entries inserted."""
-    payload = read_snapshot_payload(path)
-    return apply_snapshot_payload(payload, cache, stats=stats, source=f"snapshot {path!r}")
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Cold-start gate: the start-up import paths stay free of scipy.stats
-and scipy.optimize.
+and scipy.optimize, and the daemon's CLI free of the load generator.
 
 Each case boots a fresh interpreter, because the test process itself
-has long since imported both.  scipy.stats is only a test oracle now,
-and scipy.optimize loads inside the lognormal and Pareto fits.
+has long since imported them all.  scipy.stats is only a test oracle
+now, and scipy.optimize loads inside the lognormal and Pareto fits.
 """
 
 import json
@@ -32,6 +32,11 @@ ENTRY_POINTS = (
 
 HEAVY = ("scipy.stats", "scipy.optimize")
 
+#: what ``repro serve`` runs without: ``bench_main`` loads the load
+#: generator, ``--workers`` the pool, and only the generator's latency
+#: summary needs the statistics helpers
+DAEMON_SKIPS = ("repro.serve.bench", "repro.serve.workers", "repro.stats")
+
 
 def run_fresh(code: str) -> dict:
     """Run ``code`` in a new interpreter; it prints one JSON line."""
@@ -56,6 +61,14 @@ def test_entry_point_skips_heavy_scipy(module):
         f"import json, sys\nimport {module}\nprint(json.dumps({loaded(HEAVY)}))"
     )
     assert got == [], f"importing {module} loads {got}"
+
+
+def test_daemon_cli_skips_load_generator():
+    got = run_fresh(
+        "import json, sys\nimport repro.serve.cli\n"
+        f"print(json.dumps({loaded(DAEMON_SKIPS)}))"
+    )
+    assert got == [], f"importing repro.serve.cli loads {got}"
 
 
 @pytest.mark.parametrize(

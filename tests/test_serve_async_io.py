@@ -4,9 +4,9 @@ The daemon serves ~1400 QPS through a single asyncio loop; a synchronous
 disk write anywhere on the request path freezes *every* in-flight
 request for the duration of the write.  These tests make the write
 artificially slow and measure how long the loop goes unresponsive --
-with the old synchronous ``snapshot_now()`` on the request path the
-observed gap equals the write duration and the test fails; with the
-write in a worker thread the loop keeps ticking.
+with a synchronous write on the request path the observed gap equals
+the write duration and the test fails; with the write in a worker
+thread the loop keeps ticking.
 """
 
 import asyncio
@@ -19,7 +19,6 @@ import pytest
 from repro.core import SolverCache, use_solver_cache
 from repro.obs.metrics import MetricsRegistry, use as use_metrics
 from repro.serve.server import ScheduleServer, ServerConfig
-from repro.serve.snapshot import save_cache_snapshot
 
 #: how long the artificially slowed snapshot write takes
 SLOW_WRITE_S = 0.5
@@ -121,7 +120,7 @@ class TestSnapshotOffLoop:
         """The async warm load must still complete before start() returns."""
         target = tmp_path / "snap.json"
         with use_solver_cache(SolverCache()):
-            save_cache_snapshot(str(target))
+            asyncio.run(ScheduleServer(ServerConfig(snapshot_path=str(target))).write_snapshot())
 
         async def scenario():
             server = ScheduleServer(ServerConfig(snapshot_path=str(target)))

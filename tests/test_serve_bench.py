@@ -1,5 +1,6 @@
 """Unit tests for the serve load generator (small, fast runs)."""
 
+import asyncio
 import json
 
 import pytest
@@ -8,10 +9,10 @@ from repro.serve.bench import (
     BENCH_SCHEMA,
     BenchConfig,
     build_queries,
-    demo_registry,
     run_bench,
     summarize_latencies,
 )
+from repro.serve.registry import demo_registry
 
 SMALL = BenchConfig(
     requests=60,
@@ -85,6 +86,30 @@ class TestSummaries:
         assert summary["errors"] == 1
         assert summary["error_rate"] == pytest.approx(0.25)
 
+    def test_nothing_completed_reads_none(self):
+        summary = summarize_latencies([], 2.0, errors=3)
+        assert summary["requests"] == 0
+        assert summary["qps"] == 0.0
+        assert summary["errors"] == 3
+        assert summary["error_rate"] == 0.0
+        assert set(summary["latency_ms"]) >= {"mean", "p50", "p99"}
+        assert all(value is None for value in summary["latency_ms"].values())
+
+
+class TestDaemon:
+    def test_stopped_when_the_phase_fails(self):
+        import repro.serve.bench as bench_mod
+
+        async def scenario():
+            with pytest.raises(RuntimeError, match="phase failed"):
+                async with bench_mod._daemon(SMALL) as (server, port, cache):
+                    assert len(server.registry) == 3
+                    assert cache.hits == cache.misses == 0
+                    raise RuntimeError("phase failed")
+            with pytest.raises(OSError):
+                await asyncio.open_connection("127.0.0.1", port)
+
+        asyncio.run(scenario())
 
 
 class TestOpenLoopErrorsFailLoudly:

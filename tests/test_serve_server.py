@@ -11,10 +11,9 @@ from repro.core import CheckpointCosts, SolverCache, optimize_interval, use_solv
 from repro.core.solver_cache import SNAPSHOT_SCHEMA
 from repro.distributions import Exponential, Weibull
 from repro.obs.metrics import use as use_metrics
-from repro.serve.bench import demo_registry
 from repro.serve.models import distribution_to_spec
 from repro.serve.protocol import PROTOCOL_SCHEMA
-from repro.serve.registry import TenantRegistry
+from repro.serve.registry import TenantRegistry, demo_registry
 from repro.serve import server as server_module
 from repro.serve.server import ScheduleServer, ServerConfig
 from repro.serve.snapshot import SnapshotError
@@ -501,7 +500,7 @@ class TestSnapshotLifecycle:
 
         with use_solver_cache(SolverCache()) as fresh:
             restarted = _server(snapshot_path=path)
-            assert restarted.warm_load() == 1
+            assert asyncio.run(restarted.load_snapshot()) == 1
             assert restarted.warm_loaded_entries == 1
             assert len(fresh) == 1
             # the warm entry answers without a new solve
@@ -522,28 +521,28 @@ class TestSnapshotLifecycle:
             response = _ask(_server(), {"op": "snapshot", "id": 6})
         assert response["error"]["code"] == "snapshot-failed"
 
-    def test_snapshot_now_requires_path(self):
+    def test_write_snapshot_requires_path(self):
         with pytest.raises(SnapshotError, match="no snapshot path"):
-            _server().snapshot_now()
+            asyncio.run(_server().write_snapshot())
 
     def test_corrupt_snapshot_is_cold_start(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{definitely not json")
         with use_solver_cache(SolverCache()), use_metrics() as reg:
             server = _server(snapshot_path=str(path))
-            assert server.warm_load() == 0
+            assert asyncio.run(server.load_snapshot()) == 0
         assert reg.as_dict()["counters"]["serve.snapshot.load_failures"] == 1.0
 
     def test_missing_snapshot_is_cold_start(self, tmp_path):
         server = _server(snapshot_path=str(tmp_path / "absent.json"))
         with use_solver_cache(SolverCache()):
-            assert server.warm_load() == 0
+            assert asyncio.run(server.load_snapshot()) == 0
 
     def test_wrong_schema_snapshot_is_cold_start(self, tmp_path):
         path = tmp_path / "foreign.json"
         path.write_text(json.dumps({"schema": "something/else", "entries": []}))
         with use_solver_cache(SolverCache()):
-            assert _server(snapshot_path=str(path)).warm_load() == 0
+            assert asyncio.run(_server(snapshot_path=str(path)).load_snapshot()) == 0
 
 
     def test_refused_snapshot_is_logged_and_reported(self, tmp_path, schema_1_snapshot, caplog):
@@ -553,8 +552,8 @@ class TestSnapshotLifecycle:
         path.write_text(json.dumps(schema_1_snapshot))
         with use_solver_cache(SolverCache()), caplog.at_level("WARNING", logger="repro.serve"):
             server = _server(snapshot_path=str(path))
-            assert server.warm_load() == 0
-            assert asyncio.run(server._warm_load_async()) == 0
+            assert asyncio.run(server.load_snapshot()) == 0
+            assert asyncio.run(server.load_snapshot()) == 0
         events = [json.loads(r.getMessage()) for r in caplog.records if r.name == "repro.serve"]
         assert [e["event"] for e in events] == ["snapshot_load_failed"] * 2
         assert all(e["path"] == str(path) and "not a solver-cache snapshot" in e["reason"] for e in events)
@@ -562,7 +561,7 @@ class TestSnapshotLifecycle:
         caplog.clear()
         absent = _server(snapshot_path=str(tmp_path / "absent.json"))
         with use_solver_cache(SolverCache()), caplog.at_level("WARNING", logger="repro.serve"):
-            assert absent.warm_load() == 0
+            assert asyncio.run(absent.load_snapshot()) == 0
         assert absent.warm_load_refused is None
         assert not [r for r in caplog.records if r.name == "repro.serve"]
 
@@ -603,8 +602,8 @@ class TestSnapshotLifecycle:
         path.write_text(json.dumps(schema_1_snapshot))
         with use_solver_cache(SolverCache()) as cache, use_metrics() as reg:
             server = _server(snapshot_path=str(path))
-            assert server.warm_load() == 0
-            assert asyncio.run(server._warm_load_async()) == 0
+            assert asyncio.run(server.load_snapshot()) == 0
+            assert asyncio.run(server.load_snapshot()) == 0
             assert len(cache) == 0
             assert cache.hits == 0 and cache.misses == 0
         assert reg.as_dict()["counters"]["serve.snapshot.load_failures"] == 2.0

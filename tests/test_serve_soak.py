@@ -1,5 +1,7 @@
-"""Tests for the soak harness: drift detection, conservation, artifact."""
+"""Tests for the soak run of the serve load generator: drift detection,
+conservation, artifact."""
 
+import io
 import json
 import subprocess
 import sys
@@ -7,14 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.serve.soak import SOAK_SCHEMA, SoakConfig, detect_drift, run_soak
+from repro.serve.bench import SOAK_SCHEMA, BenchConfig, detect_drift, run_soak
 
 CHECKER = Path(__file__).resolve().parent.parent / "benchmarks" / "check_soak_regression.py"
 
 
 class TestSoakConfig:
     def test_defaults_valid(self):
-        SoakConfig()
+        BenchConfig()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -28,11 +30,11 @@ class TestSoakConfig:
     )
     def test_bad_values_rejected(self, overrides):
         with pytest.raises(ValueError):
-            SoakConfig(**overrides)
+            BenchConfig(**overrides)
 
     def test_as_dict_round_trips(self):
-        config = SoakConfig(duration_s=5.0, rate_qps=100.0)
-        assert SoakConfig(**config.as_dict()) == config
+        config = BenchConfig(duration_s=5.0, rate_qps=100.0)
+        assert BenchConfig(**config.as_dict()) == config
 
 
 class TestDetectDrift:
@@ -87,7 +89,7 @@ def soak_artifact(tmp_path_factory):
     """One short real soak shared by the artifact tests (daemon + load
     + sampler; a few seconds of wall clock)."""
     out = tmp_path_factory.mktemp("soak") / "soak.jsonl"
-    config = SoakConfig(duration_s=3.0, sample_every_s=0.5, rate_qps=200.0, seed=7)
+    config = BenchConfig(duration_s=3.0, sample_every_s=0.5, rate_qps=200.0, seed=7)
     summary = run_soak(config, str(out))
     return config, out, summary
 
@@ -144,8 +146,28 @@ class TestSoakRun:
         assert result.returncode == 0, result.stdout + result.stderr
         assert "PASS" in result.stdout
 
+    def test_cli_soak_flags_reach_the_run(self, tmp_path):
+        from repro.cli import main
+
+        out = tmp_path / "cli.jsonl"
+        sink = io.StringIO()
+        argv = ["bench-serve", "--soak", "--soak-seconds", "1", "--sample-every", "0.5"]
+        argv += ["--rate", "50", "--max-inflight", "64", "--out", str(out)]
+        assert main(argv, stdout=sink) == 0
+        assert "conservation exact" in sink.getvalue()
+        header = json.loads(out.read_text().splitlines()[0])
+        assert header["config"] == {
+            "duration_s": 1.0,
+            "sample_every_s": 0.5,
+            "rate_qps": 50.0,
+            "seed": 2005,
+            "batch_window_s": 0.002,
+            "max_batch": 256,
+            "max_inflight": 64,
+        }
+
     def test_run_soak_without_out_path_writes_nothing(self, tmp_path):
-        config = SoakConfig(duration_s=1.0, sample_every_s=0.5, rate_qps=50.0)
+        config = BenchConfig(duration_s=1.0, sample_every_s=0.5, rate_qps=50.0)
         summary = run_soak(config, None)
         assert summary["errors"] == 0
         assert list(tmp_path.iterdir()) == []

@@ -25,15 +25,14 @@ from repro.obs.metrics import OVERFLOW_COUNTER, MetricsRegistry
 from repro.obs.metrics import use as use_metrics
 from repro.obs.prometheus import parse_prometheus_text, render_prometheus
 from repro.serve import server as server_module
-from repro.serve.bench import demo_registry, distribution_specs
 from repro.serve.metrics_http import MetricsHttpEndpoint
+from repro.serve.registry import demo_registry, distribution_specs
 from repro.serve.server import ScheduleServer, ServerConfig
 from repro.serve.snapshot import (
     MergeResult,
     merge_snapshot_files,
     read_snapshot_payload,
     record_snapshot_merge,
-    save_cache_snapshot,
     worker_snapshot_path,
     write_snapshot_payload,
 )
@@ -49,7 +48,7 @@ def _snapshot_with(path, ages):
     with use_solver_cache(cache):
         for age in ages:
             optimize_interval(DIST, COSTS, age=age)
-    save_cache_snapshot(str(path), cache)
+        asyncio.run(ScheduleServer(ServerConfig(snapshot_path=str(path))).write_snapshot())
     return cache
 
 

@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,9 @@ from repro.obs.tracing import (
     load_trace,
 )
 from repro.obs.tracing import active as trace_active
+from repro.obs.tracing.cli import EXIT_BROKEN_PIPE
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv):
@@ -197,6 +204,33 @@ class TestTraceSubcommands:
         junk.write_text("{}")
         with pytest.raises(ValueError, match="not a repro trace"):
             run_cli("trace", "summary", str(junk))
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["summary"], ["filter"], ["timeline"], ["export", "--chrome"]],
+        ids=["summary", "filter", "timeline", "export"],
+    )
+    def test_reader_gone_exits_quietly(self, fig3_trace, argv):
+        """``repro trace ... | head -1`` with ``head`` gone before the
+        first write: no traceback, a documented exit status."""
+        trace_path, _ = fig3_trace
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write now fails with EPIPE
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", argv[0], str(trace_path), *argv[1:]],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120.0,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+        finally:
+            os.close(write_end)
+        assert result.stderr == ""
+        assert result.returncode == EXIT_BROKEN_PIPE
 
 
 class TestPoolWorkerMerge:
