@@ -49,6 +49,7 @@ __all__ = [
     "BUCKET_BOUNDS",
     "DEFAULT_LABEL_LIMIT",
     "OVERFLOW_COUNTER",
+    "SERIES_KEY_MEMO_LIMIT",
     "Counter",
     "Gauge",
     "Histogram",
@@ -102,6 +103,11 @@ def encode_series(name: str, labels: Mapping[str, Any]) -> str:
         value = _LABEL_VALUE_BAD.sub("_", str(labels[key]))
         parts.append(f"{key}={value}")
     return f"{name}{{{','.join(parts)}}}"
+
+
+#: bound on a registry's memo of encoded series keys; the memo is
+#: emptied whenever it reaches this many entries
+SERIES_KEY_MEMO_LIMIT = 4096
 
 
 def decode_series(key: str) -> tuple[str, dict[str, str]]:
@@ -275,7 +281,14 @@ class MetricsRegistry:
     :data:`OVERFLOW_COUNTER`).
     """
 
-    __slots__ = ("_counters", "_gauges", "_histograms", "_label_sets", "label_limit")
+    __slots__ = (
+        "_counters",
+        "_gauges",
+        "_histograms",
+        "_label_sets",
+        "_series_keys",
+        "label_limit",
+    )
 
     def __init__(self, *, label_limit: int = DEFAULT_LABEL_LIMIT) -> None:
         if label_limit < 1:
@@ -285,6 +298,10 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         #: admitted label sets per base metric name (all kinds pooled)
         self._label_sets: dict[str, int] = {}
+        #: memoised encode_series keys by ``(name, *label items)``, for
+        #: label sets whose values are all ``str`` (another type may
+        #: compare equal to a value that encodes differently: ``1 == True``)
+        self._series_keys: dict[tuple[Any, ...], str] = {}
         self.label_limit = label_limit
 
     # -- label-series admission -----------------------------------------
@@ -297,10 +314,27 @@ class MetricsRegistry:
         self._label_sets[base] = admitted + 1
         return key
 
+    def _series_key(self, name: str, labels: Mapping[str, Any]) -> str:
+        """:func:`encode_series`, memoised: a repeated label set costs one
+        dict lookup instead of a sort, a regex match and a regex sub."""
+        memo = (name, *labels.items())
+        try:
+            return self._series_keys[memo]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable label value: encode it every time
+            return encode_series(name, labels)
+        key = encode_series(name, labels)
+        if all(type(value) is str for value in labels.values()):
+            if len(self._series_keys) >= SERIES_KEY_MEMO_LIMIT:
+                self._series_keys.clear()
+            self._series_keys[memo] = key
+        return key
+
     def _series(
         self, name: str, labels: Mapping[str, Any], family: dict[str, Any]
     ) -> str:
-        key = encode_series(name, labels)
+        key = self._series_key(name, labels)
         if key in family:
             return key
         return self._admit(name, key)

@@ -4,9 +4,16 @@ The daemon's hot path.  Solve requests do not call the optimizer
 directly; they are appended to a pending list and answered when the
 batch *flushes*, which happens when either
 
-* the **batching window** elapses (an event-loop timer armed by the
-  first query of a burst; default 2 ms), or
+* the event-loop turn that queued a burst's first query ends (the
+  default: a ``call_soon`` callback, no timer), or, with an explicit
+  **batching window** ``window_s > 0``, that window elapses (a timer
+  armed by the burst's first query), or
 * the pending list reaches **max_batch** (back-pressure bound).
+
+By default every query parsed from bytes already read shares one
+flush, and queries that arrive while a flush solves are read on the
+next turn and form the next one: batch size follows the load, and no
+query waits on a timer.
 
 A flush is the unit of work.  It makes **one**
 :func:`~repro.core.optimizer.optimize_intervals_batch` call over every
@@ -31,9 +38,9 @@ connection's replies in one write.
 Solving happens on the event loop, not in a worker thread: the
 process-global :class:`~repro.core.solver_cache.SolverCache` and the
 metrics registry are single-threaded by design, and a flush's solve is
-short (microseconds when cached, a few ms cold).  The batching window
-and ``max_batch`` bound how much solve work a single flush can
-accumulate.
+short (microseconds when cached, a few ms cold).  ``max_batch`` (and a
+batching window, when one is set) bounds how much solve work a single
+flush can accumulate.
 
 Counters: ``serve.batch.count`` / ``serve.batch.size`` /
 ``serve.batch.groups`` / ``serve.batch.collapsed`` /
@@ -64,7 +71,18 @@ from repro.distributions.base import AvailabilityDistribution
 from repro.obs.metrics import active as _metrics
 from repro.obs.tracing import active as _trace_active
 
-__all__ = ["BatcherStats", "MicroBatcher", "Reply", "SolveQuery"]
+__all__ = [
+    "DEFAULT_BATCH_WINDOW_S",
+    "BatcherStats",
+    "MicroBatcher",
+    "Reply",
+    "SolveQuery",
+]
+
+#: The default batching window in seconds: ``0`` holds no query past
+#: the event-loop turn that queued its burst's first query.  A positive
+#: window is an explicit hold (``--batch-window-ms``).
+DEFAULT_BATCH_WINDOW_S = 0.0
 
 
 @dataclass(frozen=True)
@@ -137,11 +155,12 @@ class MicroBatcher:
     Parameters
     ----------
     window_s:
-        Batching window in seconds.  The timer is armed when the first
-        query of a burst arrives, so an isolated query waits at most
-        ``window_s`` and a saturating stream flushes continuously.
-        ``0`` flushes on the next event-loop tick (still batching
-        queries submitted in the same tick).
+        Batching window in seconds.  ``0`` (the default) flushes at the
+        end of the event-loop turn that queued a burst's first query,
+        so every query submitted in that turn shares the flush.  A
+        positive window holds the burst: a timer is armed when its
+        first query arrives, so an isolated query waits at most
+        ``window_s``.
     max_batch:
         Flush immediately once this many queries are pending.
     clock:
@@ -154,7 +173,7 @@ class MicroBatcher:
     def __init__(
         self,
         *,
-        window_s: float = 0.002,
+        window_s: float = DEFAULT_BATCH_WINDOW_S,
         max_batch: int = 256,
         clock: Callable[[], float] | None = None,
         on_flush: Callable[[], None] | None = None,
@@ -167,7 +186,9 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.stats = BatcherStats()
         self._pending: list[_Pending] = []
-        self._timer: asyncio.TimerHandle | None = None
+        #: the scheduled flush of the pending burst (``call_soon`` or,
+        #: with a window, ``call_later``)
+        self._scheduled: asyncio.Handle | None = None
         self._on_flush = on_flush
         epoch = time.perf_counter()
         self._clock = clock if clock is not None else (lambda: time.perf_counter() - epoch)
@@ -176,16 +197,20 @@ class MicroBatcher:
     def enqueue(self, query: SolveQuery, reply: Reply) -> None:
         """Queue a query; the flush that answers it calls ``reply``.
 
-        Must run on the event loop (it arms the window timer); a query
+        Must run on the event loop (it schedules the flush); a query
         that fills the batch flushes before this returns.
         """
         self._pending.append(_Pending(query, reply, time.perf_counter()))
         self.stats.queries += 1
         if len(self._pending) >= self.max_batch:
-            self._cancel_timer()
+            self._cancel_scheduled()
             self._flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(self.window_s, self._window)
+        elif self._scheduled is None:
+            loop = asyncio.get_running_loop()
+            if self.window_s:
+                self._scheduled = loop.call_later(self.window_s, self._scheduled_flush)
+            else:
+                self._scheduled = loop.call_soon(self._scheduled_flush)
 
     async def submit(self, query: SolveQuery) -> OptimalInterval:
         """Enqueue a query and wait for its batched result."""
@@ -204,7 +229,7 @@ class MicroBatcher:
 
     def drain(self) -> None:
         """Flush whatever is pending right now (shutdown path)."""
-        self._cancel_timer()
+        self._cancel_scheduled()
         self._flush()
 
     @property
@@ -212,14 +237,14 @@ class MicroBatcher:
         return len(self._pending)
 
     # ------------------------------------------------------------------
-    def _window(self) -> None:
-        self._timer = None
+    def _scheduled_flush(self) -> None:
+        self._scheduled = None
         self._flush()
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def _cancel_scheduled(self) -> None:
+        if self._scheduled is not None:
+            self._scheduled.cancel()
+            self._scheduled = None
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, []

@@ -63,6 +63,7 @@ from repro.core.optimizer import optimize_interval
 from repro.core.solver_cache import SolverCache, use_solver_cache
 from repro.obs.metrics import decode_series
 from repro.obs.prometheus import PrometheusParseError, parse_prometheus_text
+from repro.serve.batcher import DEFAULT_BATCH_WINDOW_S
 from repro.serve.protocol import dumps
 from repro.serve.registry import (
     DEMO_POOLS,
@@ -98,8 +99,9 @@ SWEEP_WORKER_COUNTS = (1, 2, 4)
 #: latency-bound at the same per-worker pressure the 4-worker point sees
 SWEEP_CLIENTS_PER_WORKER = 8
 
-#: sweep batching window: wider than the single-process default so the
-#: 1-worker point is window-bound and the scaling headroom is real CPU
+#: sweep batching window: an explicit hold (the daemon's default holds
+#: nothing) so the 1-worker point is window-bound and the scaling
+#: headroom is real CPU
 SWEEP_BATCH_WINDOW_S = 0.006
 
 #: drift verdict thresholds: a signal drifts when its last-third mean
@@ -149,7 +151,7 @@ class BenchConfig:
     age_buckets: int = 12
     unique_age_fraction: float = 0.1
     seed: int = 2005
-    batch_window_s: float = 0.002
+    batch_window_s: float = DEFAULT_BATCH_WINDOW_S
     max_batch: int = 256
     equivalence_sample: int = 50
     duration_s: float = 30.0
@@ -898,8 +900,8 @@ async def _soak(config: BenchConfig) -> tuple[list[dict[str, Any]], dict[str, An
     load = summarize_latencies(latencies, wall, errors=errors - rejected)
     drift = {
         "rss_mb": detect_drift([s["rss_mb"] for s in samples]),
-        # a handful of queued queries is the batching window doing its
-        # job; only a sustained double-digit backlog can be a leak
+        # a handful of queued queries is the batcher doing its job;
+        # only a sustained double-digit backlog can be a leak
         "queue_depth": detect_drift(
             [float(s["queue_depth"]) for s in samples], min_last_mean=10.0
         ),

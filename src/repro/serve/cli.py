@@ -10,6 +10,7 @@ from typing import Any, TextIO
 from repro.serve.models import distribution_from_spec
 from repro.serve.protocol import costs_from_payload
 from repro.serve.registry import TenantRegistry, demo_registry, distribution_specs
+from repro.serve.batcher import DEFAULT_BATCH_WINDOW_S
 from repro.serve.server import ScheduleServer, ServerConfig
 
 __all__ = ["bench_main", "serve_main"]
@@ -66,8 +67,13 @@ def serve_main(argv: list[str], stdout: TextIO | None = None) -> int:
     parser.add_argument(
         "--batch-window-ms",
         type=float,
-        default=2.0,
-        help="micro-batching window in milliseconds (default 2.0)",
+        default=DEFAULT_BATCH_WINDOW_S * 1e3,
+        metavar="MS",
+        help=(
+            "hold each burst of solve queries this many milliseconds before "
+            "solving it (default 0: solve at the end of the event-loop turn "
+            "that read them)"
+        ),
     )
     parser.add_argument(
         "--max-batch", type=int, default=256, help="flush once this many queries pend"
@@ -289,7 +295,14 @@ def bench_main(argv: list[str], stdout: TextIO | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=2005, help="query-stream seed")
     parser.add_argument(
-        "--batch-window-ms", type=float, default=2.0, help="server batching window (ms)"
+        "--batch-window-ms",
+        type=float,
+        default=DEFAULT_BATCH_WINDOW_S * 1e3,
+        metavar="MS",
+        help=(
+            "the in-process daemon's batching hold in milliseconds "
+            "(default 0, as repro serve)"
+        ),
     )
     parser.add_argument(
         "--connect",

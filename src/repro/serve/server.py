@@ -10,7 +10,7 @@ Layering::
 
     transport (TCP connections / stdio loop)
         -> ScheduleServer                  (parse, op dispatch, admin ops)
-            -> MicroBatcher.enqueue        (solve path: batching window)
+            -> MicroBatcher.enqueue        (solve path: flush per loop turn)
                 -> optimize_intervals_batch (one call per flush)
                     -> SolverCache          (process-global, snapshotted)
 
@@ -53,7 +53,7 @@ from repro.obs.metrics import disable as _metrics_disable
 from repro.obs.metrics import enable as _metrics_enable
 from repro.obs.prometheus import render_prometheus
 from repro.obs.tracing import active as _trace_active
-from repro.serve.batcher import MicroBatcher, SolveQuery
+from repro.serve.batcher import DEFAULT_BATCH_WINDOW_S, MicroBatcher, SolveQuery
 from repro.serve.models import distribution_from_spec, distribution_to_spec
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -207,6 +207,9 @@ class ServerConfig:
     ``snapshot_path`` is set.  ``metrics_port`` (``None`` = off, ``0``
     = ephemeral) adds the HTTP scrape endpoint; ``slow_request_s`` is
     the structured-log threshold for slow requests.
+    ``batch_window_s`` is the batcher's ``window_s``: ``0`` (the
+    default) flushes queued solves at the end of the event-loop turn
+    that queued them, a positive value holds each burst that long.
 
     Worker-pool fields (see :mod:`repro.serve.workers`):
     ``reuse_port`` binds the listener with ``SO_REUSEPORT`` so several
@@ -224,7 +227,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_s: float = 0.002
+    batch_window_s: float = DEFAULT_BATCH_WINDOW_S
     max_batch: int = 256
     snapshot_path: str | None = None
     snapshot_interval_s: float = 30.0

@@ -8,6 +8,7 @@ from repro.obs.metrics import (
     BUCKET_BOUNDS,
     DEFAULT_LABEL_LIMIT,
     OVERFLOW_COUNTER,
+    SERIES_KEY_MEMO_LIMIT,
     Counter,
     Gauge,
     Histogram,
@@ -328,6 +329,44 @@ class TestLabeledSeries:
         with reg.timer("t", labels={"tenant": "x"}):
             pass
         assert reg.as_dict()["histograms"]["t{tenant=x}"]["count"] == 1
+
+
+def _labeled_traffic(reg: MetricsRegistry) -> dict:
+    """A serve-shaped call sequence: a tenant set that overflows the
+    cap, both label orders, sanitised and non-str label values."""
+    for round_ in range(3):
+        for i in range(12):
+            tenant = f"pool-{i}" if i % 5 else f"po,ol={i}"
+            reg.inc("serve.tenant.requests", labels={"tenant": tenant, "op": "solve"})
+            reg.inc("serve.tenant.requests", labels={"op": "ping", "tenant": tenant})
+            reg.observe("serve.tenant.request_seconds", 1e-3 * (i + 1), labels={"tenant": tenant})
+            reg.inc("serve.tenant.cache.hits", float(round_ + 1), labels={"tenant": tenant})
+        reg.set_gauge("g", float(round_), labels={"worker": round_})
+        reg.set_gauge("g", 9.0, labels={"worker": True})
+        reg.inc("u", labels={"v": [round_]})  # unhashable: encoded, never memoised
+    return reg.as_dict()
+
+
+class TestSeriesKeyMemo:
+    def test_memoised_keys_keep_the_snapshot(self, monkeypatch):
+        memoised = _labeled_traffic(MetricsRegistry(label_limit=8))
+        monkeypatch.setattr(
+            MetricsRegistry, "_series_key", lambda self, name, labels: encode_series(name, labels)
+        )
+        direct = _labeled_traffic(MetricsRegistry(label_limit=8))
+        assert memoised == direct
+        counters = direct["counters"]
+        assert counters[OVERFLOW_COUNTER] > 0
+        assert "serve.tenant.requests{op=solve,tenant=po_ol_0}" in counters
+        assert direct["gauges"]["g{worker=True}"] == 9.0
+        assert direct["gauges"]["g{worker=1}"] == 1.0
+
+    def test_memo_is_bounded(self):
+        reg = MetricsRegistry(label_limit=1)
+        for i in range(SERIES_KEY_MEMO_LIMIT + 10):
+            reg.inc("r", labels={"t": f"v{i}"})
+        assert len(reg._series_keys) <= SERIES_KEY_MEMO_LIMIT
+        assert reg.as_dict()["counters"][OVERFLOW_COUNTER] == SERIES_KEY_MEMO_LIMIT + 9
 
 
 class TestWorkerSnapshotMerge:

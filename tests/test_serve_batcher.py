@@ -144,6 +144,75 @@ class TestBatching:
         assert result.converged
 
 
+def _no_timer(*args, **kwargs):
+    raise AssertionError("the default batcher armed a timer")
+
+
+class TestFlushPolicy:
+    """By default a burst flushes at the end of the event-loop turn that
+    queued it, with no timer; a positive window is an explicit hold."""
+
+    def test_lone_query_answered_after_one_loop_turn(self, monkeypatch):
+        answers = []
+
+        async def run():
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio.get_running_loop(), "call_later", _no_timer)
+                batcher = MicroBatcher()
+                batcher.enqueue(_query(age=0.0), lambda r, e: answers.append((r, e)))
+                assert answers == []
+                await asyncio.sleep(0)
+                return batcher.stats
+
+        with use_solver_cache(SolverCache()):
+            stats = asyncio.run(run())
+        assert len(answers) == 1
+        result, exc = answers[0]
+        assert exc is None and result.converged
+        assert stats.batches == 1
+
+    def test_queries_of_one_turn_share_one_flush(self, monkeypatch):
+        answers = []
+
+        async def run():
+            with monkeypatch.context() as patch:
+                patch.setattr(asyncio.get_running_loop(), "call_later", _no_timer)
+                batcher = MicroBatcher()
+                for age in (0.0, 100.0, 0.0, 250.0):
+                    batcher.enqueue(_query(age=age), lambda r, e: answers.append(r))
+                await asyncio.sleep(0)
+                first = batcher.stats.batches
+                batcher.enqueue(_query(age=7.0), lambda r, e: answers.append(r))
+                await asyncio.sleep(0)
+                return first, batcher.stats
+
+        with use_solver_cache(SolverCache()):
+            first, stats = asyncio.run(run())
+        assert first == 1
+        assert [r.age for r in answers] == [0.0, 100.0, 0.0, 250.0, 7.0]
+        assert stats.batches == 2  # the later turn is the next batch
+        assert stats.collapsed == 1
+
+    def test_window_holds_the_burst_until_the_timer_fires(self):
+        answers = []
+
+        async def run():
+            batcher = MicroBatcher(window_s=0.02)
+            batcher.enqueue(_query(age=0.0), lambda r, e: answers.append(r))
+            batcher.enqueue(_query(age=1.0), lambda r, e: answers.append(r))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            held = batcher.pending
+            await asyncio.sleep(0.05)  # past the window's deadline
+            return held, batcher.stats
+
+        with use_solver_cache(SolverCache()):
+            held, stats = asyncio.run(run())
+        assert held == 2
+        assert len(answers) == 2
+        assert stats.batches == 1
+
+
 class TestErrors:
     def test_bad_group_fails_its_waiters_only(self):
         # age beyond the Weibull support is fine; an unbounded Pareto

@@ -815,6 +815,47 @@ class TestCoalescedWrites:
         assert responses[3]["stopping"] is True
 
 
+class TestDefaultFlush:
+    def test_default_config_answers_a_read_at_the_end_of_the_turn(self, monkeypatch):
+        """A default daemon holds no solve on a timer: the solves read
+        from one chunk of bytes go out in one flush and one write, on
+        the loop turn after the one that read them."""
+        server = ScheduleServer(ServerConfig(), registry=demo_registry())
+        writer = _CountingWriter()
+        requests = [
+            {"op": "solve", "id": i, "pool": "campus-exp", "age": float(i % 2)}
+            for i in range(3)
+        ]
+
+        async def session():
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    asyncio.get_running_loop(),
+                    "call_later",
+                    lambda *a, **k: pytest.fail("the default server armed a timer"),
+                )
+                reader = asyncio.StreamReader()
+                reader.feed_data(
+                    b"".join((json.dumps(r) + "\n").encode() for r in requests)
+                )
+                task = asyncio.ensure_future(server.handle_connection(reader, writer))
+                await asyncio.sleep(0)  # the connection reads and queues all three
+                queued = (server.batcher.pending, list(writer.writes))
+                await asyncio.sleep(0)  # the end of that turn: the flush
+                answered = list(writer.writes)
+                reader.feed_eof()
+                await task
+                return queued, answered
+
+        with use_solver_cache(SolverCache()):
+            queued, answered = asyncio.run(session())
+        assert queued == (3, [])
+        assert len(answered) == 1
+        lines = answered[0].decode().splitlines()
+        assert sorted(json.loads(line)["id"] for line in lines) == [0, 1, 2]
+        assert server.batcher.stats.batches == 1
+
+
 class TestStdio:
     def test_stdio_round_trip(self):
         lines = [

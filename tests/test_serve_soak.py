@@ -161,7 +161,7 @@ class TestSoakRun:
             "sample_every_s": 0.5,
             "rate_qps": 50.0,
             "seed": 2005,
-            "batch_window_s": 0.002,
+            "batch_window_s": 0.0,
             "max_batch": 256,
             "max_inflight": 64,
         }
