@@ -27,6 +27,7 @@ gang job and reports committed work, network load and failure counts.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,11 +37,13 @@ from repro.condor.scheduler import CondorScheduler
 from repro.core.optimizer import optimize_interval
 from repro.core.markov import CheckpointCosts
 from repro.core.planner import CheckpointPlanner
+from repro.distributions.base import FloatArray
 from repro.distributions.fitting import fit_model
 from repro.distributions.product import ProductAvailability
 from repro.engine.core import Environment, Event, Interrupt, any_of
 from repro.network.bandwidth import campus_link
 from repro.network.link import SharedLink
+from repro.obs.metrics import active as _metrics
 from repro.traces.synthetic import SyntheticPoolConfig, _draw_ground_truth
 
 __all__ = ["GangExperimentConfig", "GangResult", "GangJob", "run_gang_experiment"]
@@ -55,14 +58,21 @@ class _Rank:
 
 
 class GangJob:
-    """Coordinator process for one gang-scheduled parallel job."""
+    """Coordinator process for one gang-scheduled parallel job.
+
+    ``planners`` maps machine id to the planner of its fitted model.
+    The job reads it only as ``planners[machine_id]``, when it plans an
+    interval with a rank on that machine, and never iterates it or
+    tests membership: :func:`run_gang_experiment` passes a mapping that
+    fits a machine's model on that first indexed read.
+    """
 
     def __init__(
         self,
         env: Environment,
         scheduler: CondorScheduler,
         link: SharedLink,
-        planners: dict[str, CheckpointPlanner],
+        planners: Mapping[str, CheckpointPlanner],
         *,
         width: int,
         checkpoint_size_mb: float = 500.0,
@@ -248,8 +258,44 @@ class GangResult:
         return self.mb_transferred / (self.horizon / 3600.0)
 
 
+class _PlannersOnFirstRead(dict[str, CheckpointPlanner]):
+    """Machine id -> planner; a machine's model is fitted when first read.
+
+    Only indexing fits: ``get``, ``in`` and iteration see just the
+    machines fitted so far, so ``GangJob`` reads ``planners[machine_id]``
+    and nothing else.  It does so only when it plans an interval with a
+    rank on that machine, so a machine no rank reaches is never fitted,
+    nor is one whose rank was evicted before its gang was whole.
+    ``histories`` holds each machine's index and training history; the
+    fit draws from the machine's own ``SeedSequence([seed, 2, i])``
+    stream, so each fit that runs is the one an eager loop over the
+    fleet would make.
+    """
+
+    def __init__(self, model: str, seed: int) -> None:
+        super().__init__()
+        self.model = model
+        self.seed = seed
+        self.histories: dict[str, tuple[int, FloatArray]] = {}
+
+    def __missing__(self, machine_id: str) -> CheckpointPlanner:
+        i, history = self.histories[machine_id]
+        fit_rng = np.random.default_rng(np.random.SeedSequence([self.seed, 2, i]))
+        planner = self[machine_id] = CheckpointPlanner(
+            distribution=fit_model(self.model, history, rng=fit_rng),
+            model_name=self.model,
+        )
+        return planner
+
+
 def run_gang_experiment(config: GangExperimentConfig | None = None) -> GangResult:
-    """Run one gang job over a synthetic fleet for the horizon."""
+    """Run one gang job over a synthetic fleet for the horizon.
+
+    Every machine draws its ground truth and training history up front,
+    but its model is fitted only when the gang first plans with a rank
+    on it: a machine no rank reaches is never fitted.  A fit that raises
+    propagates out of this call at that point of the simulation.
+    """
     if config is None:
         config = GangExperimentConfig()
     env = Environment()
@@ -265,17 +311,13 @@ def run_gang_experiment(config: GangExperimentConfig | None = None) -> GangResul
     bandwidth.mean_mbps *= scale
     link = SharedLink(env, bandwidth, name="gang-link")
     scheduler = CondorScheduler(env)
-    planners: dict[str, CheckpointPlanner] = {}
+    planners = _PlannersOnFirstRead(config.model, config.seed)
     for i in range(config.n_machines):
         machine_id = f"node-{i:03d}"
         world_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
-        fit_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, i]))
         gt = _draw_ground_truth(config.pool_config, world_rng)
         history = np.asarray(gt.sample(config.n_train, world_rng), dtype=np.float64)
-        planners[machine_id] = CheckpointPlanner(
-            distribution=fit_model(config.model, history, rng=fit_rng),
-            model_name=config.model,
-        )
+        planners.histories[machine_id] = (i, history)
         CondorMachine.from_distribution(
             env,
             machine_id,
@@ -293,6 +335,12 @@ def run_gang_experiment(config: GangExperimentConfig | None = None) -> GangResul
         checkpoint_size_mb=config.checkpoint_size_mb,
     )
     env.run(until=config.horizon)
+    reg = _metrics()
+    if reg is not None:
+        reg.inc("gang.machines", config.n_machines)
+        reg.inc("gang.machines_fitted", len(planners))
+        reg.inc("gang.placements", gang.n_placements)
+        reg.inc("gang.coordinated_checkpoints", gang.n_coordinated_checkpoints)
     return GangResult(
         config=config,
         committed_work=gang.committed_work,

@@ -1,18 +1,24 @@
 """Tests for gang-scheduled parallel jobs with coordinated checkpointing."""
 
+import numpy as np
 import pytest
 
+import repro.condor.gang as gang_module
 from repro.condor import (
     CondorMachine,
     CondorScheduler,
     GangExperimentConfig,
     GangJob,
+    GangResult,
     run_gang_experiment,
 )
 from repro.core import CheckpointPlanner
 from repro.distributions import Exponential
+from repro.distributions.fitting import fit_model
 from repro.engine import Environment
-from repro.network import SharedLink
+from repro.network import SharedLink, campus_link
+from repro.obs.metrics import MetricsRegistry, use
+from repro.traces.synthetic import _draw_ground_truth
 
 
 def build_world(durations_by_machine, bandwidth=10.0, width=2, size_mb=100.0):
@@ -108,3 +114,104 @@ class TestGangExperiment:
             GangExperimentConfig(width=4, n_machines=2)
         with pytest.raises(ValueError):
             GangExperimentConfig(horizon=0.0)
+
+
+def eager_gang_experiment(config):
+    """``run_gang_experiment`` with every machine fitted before the DES
+    starts: the construction the on-first-read planners replaced."""
+    env = Environment()
+    link_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    bandwidth = campus_link(link_rng)
+    scale = config.bandwidth_scale if config.bandwidth_scale is not None else float(config.width)
+    bandwidth.mean_mbps *= scale
+    link = SharedLink(env, bandwidth, name="gang-link")
+    scheduler = CondorScheduler(env)
+    planners = {}
+    for i in range(config.n_machines):
+        machine_id = f"node-{i:03d}"
+        world_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1, i]))
+        fit_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2, i]))
+        gt = _draw_ground_truth(config.pool_config, world_rng)
+        history = np.asarray(gt.sample(config.n_train, world_rng), dtype=np.float64)
+        planners[machine_id] = CheckpointPlanner(
+            distribution=fit_model(config.model, history, rng=fit_rng), model_name=config.model
+        )
+        CondorMachine.from_distribution(
+            env, machine_id, gt, world_rng, mean_owner_gap=config.mean_owner_gap, scheduler=scheduler
+        )
+    gang = GangJob(env, scheduler, link, planners, width=config.width, checkpoint_size_mb=config.checkpoint_size_mb)
+    env.run(until=config.horizon)
+    return GangResult(
+        config=config,
+        committed_work=gang.committed_work,
+        lost_work=gang.lost_work,
+        mb_transferred=gang.mb_transferred,
+        n_gang_failures=gang.n_gang_failures,
+        n_coordinated_checkpoints=gang.n_coordinated_checkpoints,
+        n_placements=gang.n_placements,
+        horizon=config.horizon,
+    )
+
+
+def perfbench_config(model, width):
+    """One of the benchmark's gang runs (one simulated hour)."""
+    return GangExperimentConfig(
+        width=width, model=model, horizon=3600.0, n_machines=max(8, 3 * width), seed=2005
+    )
+
+
+class TestFitOnFirstPlacement:
+    @pytest.mark.parametrize("width", [2, 6])
+    @pytest.mark.parametrize("model", ["exponential", "weibull", "hyperexp3"])
+    def test_equals_eager_fits(self, model, width):
+        config = perfbench_config(model, width)
+        assert run_gang_experiment(config) == eager_gang_experiment(config)
+
+    @pytest.mark.parametrize(("width", "n_planned"), [(2, 3), (6, 9)])
+    def test_fits_once_per_planned_machine(self, monkeypatch, width, n_planned):
+        """One fit per machine whose rank the gang planned with; a rank
+        evicted before its gang was whole leaves its machine unfitted."""
+        fits = []
+        hosted = set()
+        planned = set()
+        rank_body = GangJob._rank_body
+        gang_distribution = GangJob._gang_distribution
+
+        def counting_fit(*args, **kwargs):
+            fits.append(args[0])
+            return fit_model(*args, **kwargs)
+
+        def recording_rank_body(self, env, machine):
+            hosted.add(machine.machine_id)
+            return rank_body(self, env, machine)
+
+        def recording_gang_distribution(self):
+            planned.update(self._ranks)
+            return gang_distribution(self)
+
+        monkeypatch.setattr(gang_module, "fit_model", counting_fit)
+        monkeypatch.setattr(GangJob, "_rank_body", recording_rank_body)
+        monkeypatch.setattr(GangJob, "_gang_distribution", recording_gang_distribution)
+        config = perfbench_config("hyperexp2", width)
+        run_gang_experiment(config)
+        assert len(fits) == len(planned) == n_planned
+        assert planned <= hosted
+        assert len(hosted) < config.n_machines
+
+    def test_fit_failure_propagates(self, monkeypatch):
+        def failing_fit(*args, **kwargs):
+            raise ValueError("fit failed")
+
+        monkeypatch.setattr(gang_module, "fit_model", failing_fit)
+        with pytest.raises(ValueError, match="fit failed"):
+            run_gang_experiment(perfbench_config("weibull", 2))
+
+    def test_metrics_one_update_per_run(self):
+        config = perfbench_config("exponential", 6)
+        with use(MetricsRegistry()) as reg:
+            res = run_gang_experiment(config)
+        counters = reg.as_dict()["counters"]
+        assert counters["gang.machines"] == config.n_machines
+        assert counters["gang.machines_fitted"] == 9  # as test_fits_once_per_planned_machine
+        assert counters["gang.placements"] == res.n_placements
+        assert counters["gang.coordinated_checkpoints"] == res.n_coordinated_checkpoints

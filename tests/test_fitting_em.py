@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributions import Hyperexponential, fit_hyperexponential
 from repro.distributions.fitting.em import _merge_duplicate_rates
+from tests.em_oracle import oracle_fit
 
 
 @pytest.fixture
@@ -123,3 +124,16 @@ class TestMergeDuplicates:
     def test_no_merge_when_distinct(self):
         p, r = _merge_duplicate_rates(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
         assert len(r) == 2
+
+
+@pytest.mark.parametrize("k", [7, 8, 9])
+def test_many_phases_equal_scalar_oracle(k):
+    """Fits equal the scalar oracle on both sides of numpy's 8-element
+    pairwise-sum block, where a reordered phase sum would round apart."""
+    rng = np.random.default_rng(k)
+    x = np.where(rng.random(120) < 0.6, rng.exponential(300.0, 120), rng.exponential(10800.0, 120))
+    got = fit_hyperexponential(x, k, rng=np.random.default_rng(1))
+    want = oracle_fit(x, k, rng=np.random.default_rng(1))
+    assert np.array_equal(got.distribution.rates, want.distribution.rates)
+    assert np.array_equal(got.distribution.probs, want.distribution.probs)
+    assert (got.log_likelihood, got.iterations) == (want.log_likelihood, want.iterations)
